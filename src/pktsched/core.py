@@ -37,7 +37,7 @@ class Job:
     """One unit-length packet.
 
     Feasible slots are release <= t <= deadline - 1, so every job has at
-    least one (deadline >= release + 1). Weight is nonnegative.
+    least one (deadline >= release + 1). Weight is finite and nonnegative.
     """
 
     id: str
@@ -50,8 +50,8 @@ class Job:
             raise ValueError(f"job {self.id!r}: release must be >= 0")
         if self.deadline < self.release + 1:
             raise ValueError(f"job {self.id!r}: deadline must be >= release + 1")
-        if self.weight < 0:
-            raise ValueError(f"job {self.id!r}: weight must be >= 0")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"job {self.id!r}: weight must be finite and >= 0")
 
 
 def feasible_at(job: Job, t: int) -> bool:
@@ -252,6 +252,7 @@ def read_instance_csv(path: Path | str) -> Instance:
     """
     horizon: Optional[int] = None
     jobs: list[Job] = []
+    first_line: dict[str, int] = {}
     header_seen = False
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -278,6 +279,12 @@ def read_instance_csv(path: Path | str) -> Instance:
                 jobs.append(Job(row[0], int(row[1]), int(row[2]), float(row[3])))
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from exc
+            if row[0] in first_line:
+                raise ParseError(
+                    f"duplicate job id {row[0]!r} (first on line {first_line[row[0]]})",
+                    line_no,
+                )
+            first_line[row[0]] = line_no
     if not header_seen:
         raise ParseError("missing header row", 1)
     return Instance.of(jobs, horizon)

@@ -54,9 +54,6 @@ class LapTrace:
     def processed_ids(self) -> set[str]:
         return {r.job_id for r in self.rows if r.job_id is not None}
 
-    def evaluated_ratios(self) -> list[float]:
-        return [r.local_ratio for r in self.rows if r.local_ratio is not None]
-
     @property
     def t_lambda(self) -> int:
         """One past the last slot whose local test passed (0 if none did)."""

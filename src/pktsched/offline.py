@@ -6,6 +6,12 @@ with an augmenting-path feasibility check yields the exact maximum-weight
 schedule. A memoized exhaustive search over slot assignments serves as an
 independent oracle for small instances, and the prefix-optimum series is
 maintained incrementally as releases arrive.
+
+Windows are intervals of slots, so the augmenting search is iterative and
+grows one interval, reaching each slot at most once. A failed search ends
+on a closed interval: every slot in it is taken by a job whose window lies
+inside it. While jobs are only added, no slot there is ever freed, so no
+later augmenting path can end there, and the greedy skips it from then on.
 """
 
 from __future__ import annotations
@@ -41,52 +47,120 @@ class PrefixOptSeries:
 
 
 class _SlotMatching:
-    """Jobs matched onto unit slots via Kuhn-style augmenting paths.
+    """Jobs matched onto unit slots by iterative augmenting-path search.
 
     ``add_if_fits`` is the greedy matroid step (call in decreasing weight
     order for a maximum-weight set). ``insert`` additionally performs the
     exchange step needed when jobs arrive in release order: a newcomer that
     cannot be added outright evicts the lightest job on its blocking
-    structure when the newcomer is heavier.
+    structure when the newcomer is heavier. A matching takes its jobs
+    through one of the two.
+
+    A search walks alternating paths with an explicit stack and records,
+    for each slot it reaches, the job that reached it; those records are
+    the augmenting path when a free slot turns up. A failed search reaches
+    a closed interval: all of its slots are occupied, by jobs whose windows
+    lie inside it. Without evictions no slot there is ever freed, so no
+    later augmenting path can end there; ``add_if_fits`` remembers these
+    intervals in ``_full`` and skips them.
     """
 
     def __init__(self) -> None:
         self.owner: dict[int, Job] = {}
         self.slot_of: dict[str, int] = {}
+        # _full[s] = a later slot e with every slot in [s, e) proven full.
+        self._full: dict[int, int] = {}
 
-    def _try_place(self, job: Job, visited: set[int]) -> bool:
-        for s in range(job.release, job.deadline):
-            if s in visited:
-                continue
-            visited.add(s)
-            holder = self.owner.get(s)
-            if holder is None or self._try_place(holder, visited):
-                self.owner[s] = job
-                self.slot_of[job.id] = s
-                return True
-        return False
+    def _next_open(self, s: int) -> int:
+        """Smallest slot >= s not proven full (compresses the jump chain)."""
+        full = self._full
+        path = []
+        while s in full:
+            path.append(s)
+            s = full[s]
+        for p in path:
+            full[p] = s
+        return s
+
+    def _search(
+        self, job: Job, skip_full: bool
+    ) -> tuple[Optional[int], dict[int, Job]]:
+        """Alternating search from the job's window, grown as an interval.
+
+        Returns the free slot found (None when there is none) and the
+        slots reached, each mapped to the job that reached it. The owner
+        of each occupied slot reached extends the interval [lo, hi)
+        searched so far to cover its window; the stack holds the
+        extensions not yet scanned, so each slot is reached at most once.
+        On failure the interval is closed: it holds every slot the
+        newcomer could be routed to.
+        """
+        owner = self.owner
+        full = self._full if skip_full else {}
+        reached: dict[int, Job] = {}
+        lo, hi = job.release, job.deadline
+        stack = [(lo, hi, job)]
+        while stack:
+            s, end, j = stack.pop()
+            while s < end:
+                if s in full:
+                    s = self._next_open(s)
+                    continue
+                reached[s] = j
+                holder = owner.get(s)
+                if holder is None:
+                    return s, reached
+                if holder.release < lo:
+                    stack.append((holder.release, lo, holder))
+                    lo = holder.release
+                if holder.deadline > hi:
+                    stack.append((hi, holder.deadline, holder))
+                    hi = holder.deadline
+                s += 1
+        return None, reached
+
+    def _shift_into(self, s: Optional[int], reached: dict[int, Job]) -> None:
+        """Move each job on the recorded path from slot s back to its root
+        one step along, so the searching job takes a slot of its own."""
+        while s is not None:
+            j = reached[s]
+            prev = self.slot_of.get(j.id)
+            self.owner[s] = j
+            self.slot_of[j.id] = s
+            s = prev
 
     def add_if_fits(self, job: Job) -> bool:
-        return self._try_place(job, set())
+        free, reached = self._search(job, skip_full=True)
+        if free is None:
+            end = max((j.deadline for j in reached.values()), default=0)
+            for s in reached:
+                self._full[s] = end
+            return False
+        self._shift_into(free, reached)
+        return True
 
     def insert(self, job: Job) -> tuple[bool, Optional[Job]]:
         """Add the job, possibly evicting one; returns (added, evicted).
 
         A failed augmentation leaves the matching untouched and has
         explored exactly the alternating-reachable slots, whose owners are
-        the jobs whose removal would admit the newcomer; evicting the
-        lightest of them is the optimal exchange.
+        the jobs whose removal would admit the newcomer (the matroid
+        circuit, whatever slots they hold); evicting the lightest of them
+        is the optimal exchange. The jobs on the recorded path to the
+        evicted job's slot shift into it, so no second search is needed.
+        Evictions free slots, so no interval is skipped as proven full.
         """
-        visited: set[int] = set()
-        if self._try_place(job, visited):
+        free, reached = self._search(job, skip_full=False)
+        if free is not None:
+            self._shift_into(free, reached)
             return True, None
-        blockers = [self.owner[s] for s in visited]
-        lightest = min(blockers, key=lambda j: (j.weight, j.id))
+        lightest = min(
+            (self.owner[s] for s in reached), key=lambda j: (j.weight, j.id)
+        )
         if lightest.weight >= job.weight:
             return False, None
-        del self.owner[self.slot_of.pop(lightest.id)]
-        placed = self._try_place(job, set())
-        assert placed, "freed slot must be reachable from the inserted job"
+        freed = self.slot_of.pop(lightest.id)
+        self._shift_into(freed, reached)
         return True, lightest
 
     def selected_ids(self) -> set[str]:

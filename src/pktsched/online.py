@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, Job, Schedule, dominates, pending_set
+from .core import Instance, Job, Schedule, pending_set
 
 # Golden ratio: modified greedy's weight threshold and its competitive ratio
 # on agreeable-deadline instances.
@@ -53,10 +53,10 @@ def mg_step(buffer: set[Job]) -> Optional[str]:
     if not buffer:
         return None
     heaviest = min(buffer, key=lambda j: (-j.weight, j.id))
-    non_dominated = [
-        j for j in buffer if not any(dominates(k, j) for k in buffer)
-    ]
-    earliest = min(non_dominated, key=lambda j: (j.deadline, -j.weight, j.id))
+    # The first job in (deadline, -weight, id) order is never dominated: a
+    # job dominating it would be heavier with a no-later deadline, so it
+    # would sort first. Filtering out dominated jobs cannot change the pick.
+    earliest = min(buffer, key=lambda j: (j.deadline, -j.weight, j.id))
     pick = earliest if earliest.weight >= heaviest.weight / PHI else heaviest
     return pick.id
 

@@ -34,6 +34,12 @@ def test_job_validation():
         Job("x", 0, 1, -0.5)
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_job_rejects_non_finite_weight(weight):
+    with pytest.raises(ValueError, match="finite"):
+        Job("x", 0, 1, weight)
+
+
 def test_feasible_at_examples():
     eps = Job("a", 0, 1, 0.01)
     assert feasible_at(eps, 0)
@@ -233,3 +239,14 @@ def test_csv_parse_errors(tmp_path):
     empty.write_text("", encoding="utf-8")
     with pytest.raises(ParseError):
         read_instance_csv(empty)
+
+
+def test_csv_duplicate_id_reports_second_row(tmp_path):
+    dup = tmp_path / "d.csv"
+    dup.write_text(
+        "id,release,deadline,weight\na,0,1,1.0\nb,0,2,2.0\na,1,2,3.0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError, match="duplicate job id 'a'") as exc:
+        read_instance_csv(dup)
+    assert exc.value.line_no == 4

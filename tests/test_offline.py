@@ -3,9 +3,14 @@ import random
 import pytest
 
 from pktsched import (
+    GeneratorSpec,
+    InfeasibleSelection,
     Instance,
+    Job,
     TooLarge,
     brute_force_opt,
+    canonicalize,
+    gen_powerlaw,
     opt_schedule,
     prefix_opt_series,
     release_prefix,
@@ -106,3 +111,40 @@ def test_prefix_dominance_of_full_optimum():
 
 def test_prefix_series_cached(j2):
     assert prefix_opt_series(j2) is prefix_opt_series(j2)
+
+
+def test_long_augmenting_chain():
+    # Each c<i> can run in slot i or i+1 and z only in slot 0, so placing z
+    # last (the greedy order) or c<t> at release t (the prefix series)
+    # shifts a chain of up to n jobs: far deeper than the recursion limit.
+    n = 3001
+    jobs = [Job(f"c{i}", i, i + 2, 2 - i / n) for i in range(n)]
+    inst = Instance.of(jobs + [Job("z", 0, 1, 1e-3)])
+    assert schedule_weight(opt_schedule(inst)) == 4502.001
+    assert prefix_opt_series(inst).values[-1] == 4502.001
+
+
+def _matroid_greedy_ids(instance):
+    chosen = set()
+    for job in sorted(instance.jobs, key=lambda j: (-j.weight, j.id)):
+        try:
+            canonicalize(instance, chosen | {job.id})
+        except InfeasibleSelection:
+            continue
+        chosen.add(job.id)
+    return chosen
+
+
+def test_opt_matches_matroid_greedy_on_overloaded_wide_windows():
+    # Hundreds of jobs with windows up to 25 slots wide, most rejected:
+    # far beyond brute force, and the shape where a failed search proves
+    # a whole interval of slots full.
+    for seed in range(4):
+        inst = gen_powerlaw(
+            GeneratorSpec("powerlaw", horizon=30, a=30, m=500, max_slack=25, seed=seed)
+        )
+        opt = opt_schedule(inst)
+        assert len(inst.jobs) >= 250
+        assert len(opt.job_ids()) < len(inst.jobs) / 4
+        assert opt.job_ids() == _matroid_greedy_ids(inst)
+        assert prefix_opt_series(inst).values[-1] == schedule_weight(opt)

@@ -75,6 +75,25 @@ def test_mg_never_picks_dominated():
         assert not any(dominates(other, pick) for other in buffer)
 
 
+def _mg_by_dominance_filter(buffer):
+    # The rule as stated: earliest non-dominated job vs the heaviest job.
+    heaviest = min(buffer, key=lambda j: (-j.weight, j.id))
+    non_dominated = [j for j in buffer if not any(dominates(k, j) for k in buffer)]
+    earliest = min(non_dominated, key=lambda j: (j.deadline, -j.weight, j.id))
+    return (earliest if earliest.weight >= heaviest.weight / PHI else heaviest).id
+
+
+def test_mg_step_matches_dominance_filter_rule():
+    # Few distinct deadlines and weights, so ties in both are common.
+    rng = random.Random(43)
+    for _ in range(2000):
+        buffer = {
+            Job(f"j{i}", 0, rng.randint(1, 4), rng.choice([0.3, 0.5, 0.62, 0.8, 1.0]))
+            for i in range(rng.randint(1, 12))
+        }
+        assert mg_step(buffer) == _mg_by_dominance_filter(buffer)
+
+
 def test_steps_pick_buffer_members():
     rng = random.Random(41)
     for _ in range(50):
