@@ -8,7 +8,6 @@ from .core import (
     Schedule,
     canonicalize,
     dominates,
-    expired_set,
     feasible_at,
     pending_set,
     read_instance_csv,
@@ -21,6 +20,7 @@ from .experiments import (
     ExperimentConfig,
     GeneratorSpec,
     InvalidSchedule,
+    MissingPrediction,
     PerturbationSpec,
     ResultRecord,
     competitive_ratio,
@@ -28,6 +28,7 @@ from .experiments import (
     gen_uniform,
     ingest_snap_events,
     perturb,
+    run_algorithm,
     run_experiment,
 )
 from .lap import InvalidThreshold, LapSlot, LapTrace, lap_run, local_test
@@ -45,7 +46,6 @@ from .online import (
     MG,
     PHI,
     OnlineStepPolicy,
-    edf_alpha,
     edf_alpha_step,
     edf_step,
     greedy_step,

@@ -9,18 +9,19 @@ import sys
 
 from .core import Schedule, read_instance_csv, schedule_weight, write_instance_csv
 from .experiments import (
+    MissingPrediction,
     competitive_ratio,
     generate,
     ingest_snap_events,
     parse_config_file,
     parse_generator_spec,
+    run_algorithm,
     run_experiment_to_dir,
     write_day_instances,
 )
-from .lap import lap_run, write_trace_csv
+from .lap import write_trace_csv
 from .offline import opt_schedule
-from .online import OnlineStepPolicy, run_online
-from .prediction import blind_follow, prediction_error
+from .prediction import prediction_error
 
 
 def _print_schedule(schedule: Schedule, out=None) -> None:
@@ -48,20 +49,16 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.trace and args.algo != "lap":
+        raise SystemExit("--trace is only meaningful with --algo lap")
     realization = read_instance_csv(args.real)
     predicted = read_instance_csv(args.pred) if args.pred else None
-    trace = None
-    if args.algo == "lap":
-        if predicted is None:
-            raise SystemExit("--algo lap requires --pred")
-        policy = OnlineStepPolicy.parse(args.fallback)
-        schedule, trace = lap_run(predicted, realization, args.rho, policy)
-    elif args.algo == "blind":
-        if predicted is None:
-            raise SystemExit("--algo blind requires --pred")
-        schedule = blind_follow(predicted, realization)
-    else:
-        schedule = run_online(OnlineStepPolicy.parse(args.algo), realization)
+    try:
+        schedule, trace = run_algorithm(
+            args.algo, realization, predicted, args.rho, args.fallback
+        )
+    except MissingPrediction:
+        raise SystemExit(f"--algo {args.algo} requires --pred") from None
     print(f"# algorithm={args.algo}")
     print(f"# weight={schedule_weight(schedule)!r}")
     print(f"# competitive_ratio={competitive_ratio(realization, schedule)!r}")
@@ -69,8 +66,6 @@ def _cmd_run(args) -> int:
         print(f"# eta={prediction_error(realization, predicted)!r}")
     _print_schedule(schedule)
     if args.trace:
-        if trace is None:
-            raise SystemExit("--trace is only meaningful with --algo lap")
         write_trace_csv(trace, args.trace)
     return 0
 

@@ -111,11 +111,7 @@ class Instance:
 
     @classmethod
     def of(cls, jobs: Iterable[Job], horizon: Optional[int] = None) -> "Instance":
-        ordered = tuple(sorted(jobs, key=lambda j: j.id))
-        ids = [j.id for j in ordered]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate job ids in instance")
-        ordered = _break_weight_ties(ordered)
+        ordered = _break_weight_ties(tuple(sorted(jobs, key=lambda j: j.id)))
         max_deadline = max((j.deadline for j in ordered), default=0)
         if horizon is None:
             horizon = max_deadline
@@ -126,8 +122,8 @@ class Instance:
         return {j.id: j for j in self.jobs}
 
     def with_horizon(self, horizon: int) -> "Instance":
-        """Same jobs over a (no smaller) horizon."""
-        if horizon == self.horizon:
+        """Same jobs over the larger of ``horizon`` and this horizon."""
+        if horizon <= self.horizon:
             return self
         return Instance(self.jobs, horizon)
 
@@ -162,15 +158,6 @@ def schedule_weight(schedule: Schedule, upto: Optional[int] = None) -> float:
 def pending_set(instance: Instance, processed: set[str], t: int) -> set[Job]:
     """Released, unprocessed, still-feasible jobs at slot t (the buffer)."""
     return {j for j in instance.jobs if j.id not in processed and feasible_at(j, t)}
-
-
-def expired_set(instance: Instance, processed: set[str], t: int) -> set[Job]:
-    """Unprocessed jobs whose deadline precedes slot t + 1."""
-    return {
-        j
-        for j in instance.jobs
-        if j.id not in processed and j.deadline < t + 1
-    }
 
 
 def canonicalize(instance: Instance, selected: set[str]) -> Schedule:

@@ -23,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 from .core import (
     Instance,
@@ -34,12 +34,16 @@ from .core import (
     validate_schedule,
     write_instance_csv,
 )
-from .lap import lap_run
+from .lap import LapTrace, lap_run
 from .offline import opt_schedule
-from .online import OnlineStepPolicy, edf_alpha, run_online
+from .online import OnlineStepPolicy, run_online
 from .prediction import blind_follow, prediction_error
 
 WEIGHT_FLOOR = 1e-9
+
+# The algorithms that follow a prediction; every other name is an
+# OnlineStepPolicy that sees only the realization.
+PREDICTION_ALGORITHMS = ("lap", "blind")
 
 
 class InvalidSchedule(ValueError):
@@ -48,6 +52,10 @@ class InvalidSchedule(ValueError):
 
 class EmptyDataset(ValueError):
     """Event file contains no parseable events."""
+
+
+class MissingPrediction(ValueError):
+    """The algorithm follows a prediction, but none was given."""
 
 
 def derive_seed(*parts) -> int:
@@ -140,16 +148,36 @@ def generate(spec: GeneratorSpec) -> Instance:
     return gen_uniform(spec) if spec.kind == "uniform" else gen_powerlaw(spec)
 
 
+_KEY_ALIASES = {"t": "horizon", "slack": "max_slack"}
+
+
+def _typed_field(cls, key: str, text: str) -> tuple[str, object]:
+    """Field name and value of one ``key = value`` pair for dataclass ``cls``.
+
+    Keys are case-insensitive; ``t`` and ``slack`` stand for ``horizon``
+    and ``max_slack``. The value is typed by the field's annotation: int,
+    float, a comma-separated tuple of either or of text, or text.
+    """
+    name = key.strip().lower()
+    name = _KEY_ALIASES.get(name, name)
+    kind = get_type_hints(cls).get(name)
+    if kind is None:
+        raise ValueError(f"unknown key {key.strip()!r}")
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return name, tuple(item(v.strip()) for v in text.split(","))
+    text = text.strip()
+    return name, kind(text) if kind in (int, float) else text
+
+
 def parse_generator_spec(text: str, seed: Optional[int] = None) -> GeneratorSpec:
     """Parse ``uniform:T=75,lo=2,hi=8,seed=1`` style spec strings."""
     kind, _, rest = text.partition(":")
     fields: dict = {"kind": kind.strip()}
-    aliases = {"t": "horizon", "slack": "max_slack"}
-    int_keys = {"horizon", "lo", "hi", "max_slack", "seed"}
     for part in filter(None, (p.strip() for p in rest.split(","))):
         key, _, value = part.partition("=")
-        key = aliases.get(key.strip().lower(), key.strip().lower())
-        fields[key] = int(value) if key in int_keys else float(value)
+        name, typed = _typed_field(GeneratorSpec, key, value)
+        fields[name] = typed
     if seed is not None:
         fields["seed"] = seed
     return GeneratorSpec(**fields)
@@ -292,7 +320,9 @@ class ExperimentConfig:
 
     ``dataset`` is ``uniform``, ``powerlaw``, or a path to an event log
     (in which case trials are its qualifying days). ``sweep`` is ``sigma``
-    (weight noise) or ``k`` (deadline shift). The learning-augmented
+    (weight noise) or ``k`` (deadline shift). ``algorithms`` and
+    ``fallback`` take the names :func:`run_algorithm` reads; a bare
+    ``edf-alpha`` runs with threshold ``alpha``. The learning-augmented
     scheduler runs with threshold 1 + rho_excess and the named fallback;
     the benchmarks ignore the prediction.
     """
@@ -321,59 +351,59 @@ class ExperimentConfig:
             raise ValueError(f"sweep must be 'sigma' or 'k', got {self.sweep!r}")
         if self.rho_excess < 0:
             raise ValueError("rho_excess must be >= 0")
+        for name in self.algorithms:
+            if name not in PREDICTION_ALGORITHMS:
+                OnlineStepPolicy.parse(self.spelled(name))
+        OnlineStepPolicy.parse(self.spelled(self.fallback))
 
-
-_CONFIG_INT_KEYS = {"trials", "seed", "horizon", "lo", "hi", "max_slack",
-                    "slots_per_day", "ts_col"}
-_CONFIG_FLOAT_KEYS = {"rho_excess", "alpha", "a", "m"}
+    def spelled(self, name: str) -> str:
+        """``name`` as :func:`run_algorithm` reads it: a bare ``edf-alpha``
+        gets this config's ``alpha``."""
+        return f"edf-alpha:{self.alpha!r}" if name == "edf-alpha" else name
 
 
 def parse_config_file(path: Path | str) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file."""
+    """Read a flat ``key = value`` config file; ``#`` starts a comment."""
     fields: dict = {}
-    aliases = {"t": "horizon"}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.partition("#")[0].strip()
+            if not line:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
                 raise ParseError("expected 'key = value'", line_no)
-            key = aliases.get(key.strip().lower(), key.strip().lower())
-            value = value.strip()
-            if key == "values":
-                fields[key] = tuple(float(v) for v in value.split(","))
-            elif key == "algorithms":
-                fields[key] = tuple(v.strip() for v in value.split(","))
-            elif key in _CONFIG_INT_KEYS:
-                fields[key] = int(value)
-            elif key in _CONFIG_FLOAT_KEYS:
-                fields[key] = float(value)
-            else:
-                fields[key] = value
+            try:
+                name, typed = _typed_field(ExperimentConfig, key, value)
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no) from exc
+            fields[name] = typed
     return ExperimentConfig(**fields)
 
 
-def _algorithm_schedule(
-    name: str,
+def run_algorithm(
+    algorithm: str,
     realization: Instance,
-    predicted: Instance,
-    config: ExperimentConfig,
-) -> Schedule:
-    if name == "lap":
-        policy = (
-            edf_alpha(config.alpha)
-            if config.fallback == "edf-alpha"
-            else OnlineStepPolicy(config.fallback)
-        )
-        schedule, _ = lap_run(predicted, realization, 1.0 + config.rho_excess, policy)
-        return schedule
-    if name == "blind":
-        return blind_follow(predicted, realization)
-    if name == "edf-alpha":
-        return run_online(edf_alpha(config.alpha), realization)
-    return run_online(OnlineStepPolicy(name), realization)
+    prediction: Optional[Instance],
+    rho: float,
+    fallback: str,
+) -> tuple[Schedule, Optional[LapTrace]]:
+    """Run one algorithm by name on the realization.
+
+    ``algorithm`` is ``lap``, ``blind`` or a policy in the form
+    :meth:`OnlineStepPolicy.parse` reads (``edf-alpha:<alpha>`` included);
+    ``fallback`` is such a policy and, with the threshold ``rho``, is read
+    only by ``lap``. Returns the schedule and, for ``lap`` only, its trace.
+    Raises MissingPrediction when the algorithm follows a prediction and
+    ``prediction`` is None.
+    """
+    if algorithm in PREDICTION_ALGORITHMS and prediction is None:
+        raise MissingPrediction(f"algorithm {algorithm!r} needs a prediction")
+    if algorithm == "lap":
+        return lap_run(prediction, realization, rho, OnlineStepPolicy.parse(fallback))
+    if algorithm == "blind":
+        return blind_follow(prediction, realization), None
+    return run_online(OnlineStepPolicy.parse(algorithm), realization), None
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
@@ -393,6 +423,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
             ts_col=config.ts_col,
         )
     trials = len(day_instances) if day_instances is not None else config.trials
+    rho, fallback = 1.0 + config.rho_excess, config.spelled(config.fallback)
     records: list[ResultRecord] = []
     for sweep_index, value in enumerate(config.values):
         for trial in range(trials):
@@ -420,7 +451,9 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
             eta = prediction_error(realization, predicted)
             for name in config.algorithms:
                 started = time.perf_counter()
-                schedule = _algorithm_schedule(name, realization, predicted, config)
+                schedule, _ = run_algorithm(
+                    config.spelled(name), realization, predicted, rho, fallback
+                )
                 elapsed = time.perf_counter() - started
                 records.append(
                     ResultRecord(

@@ -67,28 +67,23 @@ class LapTrace:
 
 def local_test(
     prefix_opt: PrefixOptSeries,
-    processed_weight: float | Sequence[float],
+    processed_weights: Sequence[float],
     candidate_weight: float,
     t: int,
     rho: float,
 ) -> tuple[bool, float]:
     """Compare the prefix optimum at t against processed + candidate weight.
 
-    ``processed_weight`` may be the individual processed weights instead of
-    their sum; the denominator is then one correctly-rounded sum over the
-    whole processed-plus-candidate set, so a denominator set equal to the
+    The denominator is one correctly-rounded sum over the individual
+    processed weights and the candidate, so a denominator set equal to the
     numerator's yields a ratio of exactly 1. Ratio conventions: 1 when both
     sides are zero, infinity when only the denominator is. Returns
     (ratio <= rho, ratio).
     """
     if rho < 1:
         raise InvalidThreshold(f"threshold must be >= 1, got {rho}")
-    if isinstance(processed_weight, (int, float)):
-        processed: tuple[float, ...] = (float(processed_weight),)
-    else:
-        processed = tuple(processed_weight)
     numerator = prefix_opt.values[t]
-    denominator = math.fsum((*processed, candidate_weight))
+    denominator = math.fsum((*processed_weights, candidate_weight))
     if denominator == 0.0:
         ratio = 1.0 if numerator == 0.0 else math.inf
     else:
@@ -110,15 +105,14 @@ def lap_run(
     """
     if rho < 1:
         raise InvalidThreshold(f"threshold must be >= 1, got {rho}")
-    horizon = max(realization.horizon, prediction.horizon)
-    real = realization.with_horizon(horizon)
+    real = realization.with_horizon(prediction.horizon)
     choices = build_choices(prediction).choices
     series = prefix_opt_series(real)
     processed: set[str] = set()
     processed_jobs: list[Job] = []
     slots: list[Optional[Job]] = []
     rows: list[LapSlot] = []
-    for t in range(horizon + 1):
+    for t in range(real.horizon + 1):
         cid = choices[t] if t < len(choices) else None
         predicted = real.by_id.get(cid) if cid is not None else None
         ratio: Optional[float] = None

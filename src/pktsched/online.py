@@ -18,8 +18,6 @@ from .core import Instance, Job, Schedule, pending_set
 # on agreeable-deadline instances.
 PHI = (1 + math.sqrt(5)) / 2
 
-_POLICY_NAMES = ("greedy", "edf", "edf-alpha", "mg")
-
 
 def greedy_step(buffer: set[Job]) -> Optional[str]:
     """Heaviest buffered job; None on an empty buffer."""
@@ -61,19 +59,29 @@ def mg_step(buffer: set[Job]) -> Optional[str]:
     return pick.id
 
 
+# Step rule per policy name. The lambdas look the rules up in this module
+# at call time, so rebinding a module attribute (as a tracer does) reaches
+# every policy.
+_STEPS = {
+    "greedy": lambda buffer, alpha: greedy_step(buffer),
+    "edf": lambda buffer, alpha: edf_step(buffer),
+    "edf-alpha": lambda buffer, alpha: edf_alpha_step(buffer, alpha),
+    "mg": lambda buffer, alpha: mg_step(buffer),
+}
+
+
 @dataclass(frozen=True)
 class OnlineStepPolicy:
-    """A named step rule plus its advertised competitive ratio.
+    """A named step rule: ``greedy``, ``edf``, ``edf-alpha`` or ``mg``.
 
     ``edf-alpha`` needs its threshold ``alpha``; the others take none.
-    EDF carries no guarantee, so its ratio is recorded as infinity.
     """
 
     name: str
     alpha: Optional[float] = None
 
     def __post_init__(self):
-        if self.name not in _POLICY_NAMES:
+        if self.name not in _STEPS:
             raise ValueError(f"unknown policy {self.name!r}")
         if self.name == "edf-alpha":
             if self.alpha is None or not 0 < self.alpha <= 1:
@@ -81,48 +89,21 @@ class OnlineStepPolicy:
         elif self.alpha is not None:
             raise ValueError(f"policy {self.name!r} takes no alpha")
 
-    @property
-    def gamma_on(self) -> float:
-        return {
-            "greedy": 2.0,
-            "mg": PHI,
-            "edf": math.inf,
-            "edf-alpha": 2.0,
-        }[self.name]
-
     def step(self, buffer: set[Job]) -> Optional[str]:
-        if self.name == "greedy":
-            return greedy_step(buffer)
-        if self.name == "edf":
-            return edf_step(buffer)
-        if self.name == "edf-alpha":
-            return edf_alpha_step(buffer, self.alpha)
-        return mg_step(buffer)
-
-    @property
-    def label(self) -> str:
-        if self.name == "edf-alpha":
-            return f"edf-alpha:{self.alpha:g}"
-        return self.name
+        return _STEPS[self.name](buffer, self.alpha)
 
     @classmethod
     def parse(cls, text: str) -> "OnlineStepPolicy":
         """Parse ``greedy``, ``edf``, ``mg``, or ``edf-alpha:<alpha>``."""
-        if text.startswith("edf-alpha"):
-            _, _, arg = text.partition(":")
-            if not arg:
-                raise ValueError("edf-alpha needs a threshold, e.g. edf-alpha:0.5")
-            return cls("edf-alpha", float(arg))
-        return cls(text)
+        name, sep, arg = text.partition(":")
+        if name == "edf-alpha" and not arg:
+            raise ValueError("edf-alpha needs a threshold, e.g. edf-alpha:0.5")
+        return cls(name, float(arg) if sep else None)
 
 
 GREEDY = OnlineStepPolicy("greedy")
 EDF = OnlineStepPolicy("edf")
 MG = OnlineStepPolicy("mg")
-
-
-def edf_alpha(alpha: float) -> OnlineStepPolicy:
-    return OnlineStepPolicy("edf-alpha", alpha)
 
 
 def run_online(policy: OnlineStepPolicy, instance: Instance) -> Schedule:

@@ -63,12 +63,11 @@ def prediction_error(realization: Instance, prediction: Instance) -> float:
     positive numerator meets a zero denominator, and 1 when every
     numerator is zero.
     """
-    horizon = max(realization.horizon, prediction.horizon)
-    real = realization.with_horizon(horizon)
+    real = realization.with_horizon(prediction.horizon)
     series = prefix_opt_series(real).values
     followed = apply_choices(build_choices(prediction), real)
     ratios: list[float] = []
-    for t in range(horizon + 1):
+    for t in range(real.horizon + 1):
         numerator = series[t]
         if numerator == 0.0:
             continue
@@ -86,5 +85,4 @@ def blind_follow(prediction: Instance, realization: Instance) -> Schedule:
     degrade without bound, which is exactly what the thresholded
     scheduler exists to prevent.
     """
-    horizon = max(realization.horizon, prediction.horizon)
-    return apply_choices(build_choices(prediction), realization.with_horizon(horizon))
+    return apply_choices(build_choices(prediction), realization)

@@ -32,10 +32,10 @@ from pktsched import (
     ExperimentConfig,
     Instance,
     Job,
+    OnlineStepPolicy,
     blind_follow,
     brute_force_opt,
     competitive_ratio,
-    edf_alpha,
     lap_run,
     opt_schedule,
     prediction_error,
@@ -78,7 +78,7 @@ def _verdict(num, name, ok, detail=""):
 
 
 def _collect(pool, trace, prediction, realization, label):
-    real = realization.with_horizon(max(realization.horizon, prediction.horizon))
+    real = realization.with_horizon(prediction.horizon)
     for row in trace.rows:
         if row.local_ratio is not None and not math.isinf(row.local_ratio):
             pool.append(PooledRatio(row.local_ratio, row.t, real, label))
@@ -121,7 +121,7 @@ def test_02_lower_bound_fixture():
 
 def _one_consistency(pool):
     rng = random.Random(MASTER_SEED + 3)
-    policies = (GREEDY, EDF, MG, edf_alpha(0.5))
+    policies = (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5))
     failures = []
     for i in range(200):
         inst = random_instance(rng, max_jobs=10, max_horizon=10)
@@ -131,12 +131,12 @@ def _one_consistency(pool):
                 sched, trace = lap_run(inst, inst, rho, policy)
                 _collect(pool, trace, inst, inst, f"consistency i={i} rho={rho}")
                 if schedule_weight(sched) != target:
-                    failures.append((i, rho, policy.label, "weight"))
+                    failures.append((i, rho, policy.name, "weight"))
                 if any(
                     r.source == ONLINE and r.local_ratio is not None
                     for r in trace.rows
                 ):
-                    failures.append((i, rho, policy.label, "switched"))
+                    failures.append((i, rho, policy.name, "switched"))
     return failures
 
 
@@ -188,11 +188,11 @@ def _robustness(pool):
             continue
         for policy, cap in ((GREEDY, 1.1 + 2.0 + 1.0), (MG, 1.1 + PHI + 1.0)):
             sched, trace = lap_run(pred, real, 1.1, policy)
-            _collect(pool, trace, pred, real, f"robustness i={i} {policy.label}")
+            _collect(pool, trace, pred, real, f"robustness i={i} {policy.name}")
             got = schedule_weight(sched)
             ratio = math.inf if got == 0.0 else opt / got
             if ratio > cap + 1e-9:
-                failures.append((i, kinds[i % 3], policy.label, ratio, cap))
+                failures.append((i, kinds[i % 3], policy.name, ratio, cap))
     return failures
 
 

@@ -63,6 +63,16 @@ def test_run_lap_requires_pred(tmp_path, j2):
         main(["run", "--algo", "lap", "--real", str(real)])
 
 
+def test_run_trace_needs_lap_before_any_output(tmp_path, j2, capsys):
+    real = tmp_path / "real.csv"
+    write_instance_csv(j2, real)
+    trace = tmp_path / "trace.csv"
+    with pytest.raises(SystemExit, match="only meaningful with --algo lap"):
+        main(["run", "--algo", "greedy", "--real", str(real), "--trace", str(trace)])
+    assert capsys.readouterr().out == ""
+    assert not trace.exists()
+
+
 def test_gen_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     spec = "uniform:T=8,lo=1,hi=3,seed=11"

@@ -13,7 +13,6 @@ from pktsched import (
     brute_force_opt,
     canonicalize,
     dominates,
-    expired_set,
     feasible_at,
     opt_schedule,
     pending_set,
@@ -62,12 +61,6 @@ def test_pending_set_examples(j2):
     assert {j.id for j in pending_set(j2, {"a"}, 1)} == {"b", "c"}
 
 
-def test_expired_set_examples(j2):
-    assert {j.id for j in expired_set(j2, set(), 1)} == {"a"}
-    assert expired_set(j2, set(), 0) == set()
-    assert expired_set(j2, {"a"}, 1) == set()
-
-
 def test_partition_of_released():
     rng = random.Random(11)
     for _ in range(60):
@@ -77,7 +70,11 @@ def test_partition_of_released():
         for t in range(inst.horizon + 1):
             released = {j.id for j in inst.jobs if j.release <= t}
             pend = {j.id for j in pending_set(inst, processed, t)}
-            expd = {j.id for j in expired_set(inst, processed, t)}
+            expd = {
+                j.id
+                for j in inst.jobs
+                if j.id not in processed and j.deadline < t + 1
+            }
             done = processed & released
             assert pend | expd | done == released
             assert not (pend & expd) and not (pend & done) and not (expd & done)

@@ -1,15 +1,19 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from pktsched import (
     EmptyDataset,
     ExperimentConfig,
+    GREEDY,
     GeneratorSpec,
     Instance,
     Job,
     InvalidSchedule,
+    MissingPrediction,
+    OnlineStepPolicy,
     ParseError,
     PerturbationSpec,
     Schedule,
@@ -18,9 +22,12 @@ from pktsched import (
     gen_powerlaw,
     gen_uniform,
     ingest_snap_events,
+    lap_run,
     opt_schedule,
     perturb,
+    run_algorithm,
     run_experiment,
+    run_online,
 )
 from pktsched.core import write_instance_csv
 from pktsched.experiments import (
@@ -279,3 +286,68 @@ def test_config_file_and_output_dir(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(dataset="uniform", sweep="nope", values=(0.0,))
+    with pytest.raises(ValueError, match="unknown policy 'gredy'"):
+        _tiny_config(algorithms=("lap", "gredy"))
+    with pytest.raises(ValueError, match="unknown policy 'gredy'"):
+        _tiny_config(algorithms=("greedy",), fallback="gredy")
+    with pytest.raises(ValueError, match="alpha in"):
+        _tiny_config(algorithms=("edf-alpha",), alpha=2.0)
+    with pytest.raises(ValueError, match="alpha in"):
+        _tiny_config(fallback="edf-alpha", alpha=2.0)
+    _tiny_config(algorithms=("greedy",), alpha=2.0)  # alpha unused: no error
+
+
+def test_run_algorithm_matches_each_runner(j1, j2):
+    schedule, trace = run_algorithm("lap", j2, j1, 1.1, "greedy")
+    assert (schedule, trace) == lap_run(j1, j2, 1.1, GREEDY)
+    assert run_algorithm("blind", j2, j1, 1.1, "greedy") == (blind_follow(j1, j2), None)
+    for name in ("greedy", "edf", "mg", "edf-alpha:0.5"):
+        expected = run_online(OnlineStepPolicy.parse(name), j2)
+        assert run_algorithm(name, j2, None, 1.1, "greedy") == (expected, None)
+        assert run_algorithm(name, j2, j1, 1.1, "greedy") == (expected, None)
+    for name in ("lap", "blind"):
+        with pytest.raises(MissingPrediction):
+            run_algorithm(name, j2, None, 1.1, "greedy")
+    with pytest.raises(ValueError):
+        run_algorithm("gredy", j2, j1, 1.1, "greedy")
+
+
+def test_sweep_accepts_edf_alpha_with_threshold():
+    def ratios(config):
+        return [(r.algorithm, r.ratio) for r in run_experiment(config)]
+
+    bare = ratios(_tiny_config(algorithms=("edf-alpha",), alpha=0.3))
+    spelled = ratios(_tiny_config(algorithms=("edf-alpha:0.3",)))
+    assert [r for _, r in spelled] == [r for _, r in bare]
+    assert {a for a, _ in spelled} == {"edf-alpha:0.3"}
+    assert {a for a, _ in bare} == {"edf-alpha"}
+
+    lap_bare = _tiny_config(algorithms=("lap",), fallback="edf-alpha", alpha=0.3)
+    lap_spelled = _tiny_config(algorithms=("lap",), fallback="edf-alpha:0.3")
+    assert ratios(lap_spelled) == ratios(lap_bare)
+
+
+def _readme_sweep_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    after = readme.split("A sweep config is flat", 1)[1]
+    return after.split("```", 2)[1].strip("\n")
+
+
+def test_readme_sweep_config_parses(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_readme_sweep_config() + "\n", encoding="utf-8")
+    config = parse_config_file(cfg)
+    assert config.dataset == "uniform" and config.sweep == "sigma"
+    assert config.values == (0.0, 0.05, 0.1)
+    assert config.algorithms == ("lap", "mg", "greedy", "edf", "edf-alpha")
+    assert config.rho_excess == 0.1 and config.trials == 10
+
+
+def test_config_file_errors_carry_line_numbers(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("dataset = uniform\ntrials = ten\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_config_file(cfg)
+    cfg.write_text("dataset = uniform\nrho = 0.1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 2: unknown key 'rho'"):
+        parse_config_file(cfg)

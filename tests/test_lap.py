@@ -10,9 +10,9 @@ from pktsched import (
     PHI,
     Instance,
     InvalidThreshold,
+    OnlineStepPolicy,
     PrefixOptSeries,
     brute_force_opt,
-    edf_alpha,
     lap_run,
     local_test,
     prediction_error,
@@ -27,25 +27,25 @@ from conftest import adversarial_prediction, mk, random_agreeable, random_instan
 
 def test_local_test_conventions():
     series = PrefixOptSeries((0.0, 2.0))
-    assert local_test(series, 1.0, 1.0, 1, 1.0) == (True, 1.0)
-    assert local_test(series, 0.0, 0.0, 0, 1.0) == (True, 1.0)
-    passed, ratio = local_test(series, 0.0, 0.0, 1, 1.5)
+    assert local_test(series, [1.0], 1.0, 1, 1.0) == (True, 1.0)
+    assert local_test(series, [], 0.0, 0, 1.0) == (True, 1.0)
+    passed, ratio = local_test(series, [], 0.0, 1, 1.5)
     assert not passed and math.isinf(ratio)
     with pytest.raises(InvalidThreshold):
-        local_test(series, 0.0, 1.0, 0, 0.9)
+        local_test(series, [], 1.0, 0, 0.9)
 
 
 def test_local_test_fixture_numbers(j2):
     series = prefix_opt_series(j2)
-    passed, ratio = local_test(series, 0.01, 1.0, 1, 1.1)
+    passed, ratio = local_test(series, [0.01], 1.0, 1, 1.1)
     assert not passed and ratio == 1.999 / 1.01
-    passed, ratio = local_test(series, 0.01, 1.0, 1, 2.0)
+    passed, ratio = local_test(series, [0.01], 1.0, 1, 2.0)
     assert passed
 
 
 def test_lap_consistency_is_exact(j2):
     for rho in (1.0, 1.1, 2.0):
-        for policy in (GREEDY, EDF, MG, edf_alpha(0.5)):
+        for policy in (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)):
             sched, trace = lap_run(j2, j2, rho, policy)
             assert schedule_weight(sched) == brute_force_opt(j2)[0]
             assert all(

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -13,7 +12,6 @@ from pktsched import (
     OnlineStepPolicy,
     brute_force_opt,
     dominates,
-    edf_alpha,
     edf_alpha_step,
     edf_step,
     greedy_step,
@@ -100,7 +98,7 @@ def test_steps_pick_buffer_members():
         inst = random_instance(rng, min_jobs=1, max_jobs=6)
         buffer = {Job(j.id, 0, j.deadline, j.weight) for j in inst.jobs}
         ids = {j.id for j in buffer}
-        for policy in (GREEDY, EDF, MG, edf_alpha(0.5)):
+        for policy in (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)):
             assert policy.step(buffer) in ids
             assert policy.step(set()) is None
 
@@ -115,7 +113,7 @@ def test_run_online_examples(j2):
     assert schedule_weight(edf) == 1.01
 
     empty = Instance.of([])
-    for policy in (GREEDY, EDF, MG, edf_alpha(0.5)):
+    for policy in (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)):
         assert all(j is None for j in run_online(policy, empty).slots)
 
 
@@ -123,7 +121,7 @@ def test_run_online_always_valid():
     rng = random.Random(43)
     for _ in range(40):
         inst = random_instance(rng)
-        for policy in (GREEDY, EDF, MG, edf_alpha(0.5)):
+        for policy in (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)):
             ok, violations = validate_schedule(inst, run_online(policy, inst))
             assert ok, violations
 
@@ -139,16 +137,31 @@ def test_empirical_competitiveness_on_agreeable():
         assert opt / schedule_weight(run_online(MG, inst)) <= PHI + 1e-9
 
 
-def test_policy_parse_and_gamma():
+def test_policy_parse_and_validation():
     assert OnlineStepPolicy.parse("greedy") == GREEDY
-    assert OnlineStepPolicy.parse("edf-alpha:0.5") == edf_alpha(0.5)
-    assert GREEDY.gamma_on == 2.0
-    assert MG.gamma_on == PHI
-    assert math.isinf(EDF.gamma_on)
-    assert edf_alpha(0.5).gamma_on == 2.0
+    assert OnlineStepPolicy.parse("edf-alpha:0.5") == OnlineStepPolicy("edf-alpha", 0.5)
     with pytest.raises(ValueError):
         OnlineStepPolicy.parse("edf-alpha")
     with pytest.raises(ValueError):
         OnlineStepPolicy("nope")
     with pytest.raises(ValueError):
         OnlineStepPolicy("greedy", alpha=0.5)
+    with pytest.raises(ValueError):
+        OnlineStepPolicy.parse("greedy:0.5")
+    with pytest.raises(ValueError):
+        OnlineStepPolicy.parse("edf-alpha:1.5")
+
+
+def test_policy_step_looks_up_rule_at_call_time(monkeypatch):
+    # A tracer rebinds the module's step functions; every policy must see it.
+    import pktsched.online as online
+
+    buffer = _buffer([("x", 0, 1, 2.0)])
+    for name, policy in (
+        ("greedy_step", GREEDY),
+        ("edf_step", EDF),
+        ("mg_step", MG),
+        ("edf_alpha_step", OnlineStepPolicy("edf-alpha", 0.5)),
+    ):
+        monkeypatch.setattr(online, name, lambda *args: "rebound")
+        assert policy.step(buffer) == "rebound"
