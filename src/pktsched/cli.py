@@ -9,6 +9,7 @@ import sys
 
 from .core import Schedule, read_instance_csv, schedule_weight, write_instance_csv
 from .experiments import (
+    PREDICTION_ALGORITHMS,
     MissingPrediction,
     competitive_ratio,
     generate,
@@ -21,6 +22,7 @@ from .experiments import (
 )
 from .lap import write_trace_csv
 from .offline import opt_schedule
+from .online import OnlineStepPolicy
 from .prediction import prediction_error
 
 
@@ -51,6 +53,12 @@ def _cmd_eta(args) -> int:
 def _cmd_run(args) -> int:
     if args.trace and args.algo != "lap":
         raise SystemExit("--trace is only meaningful with --algo lap")
+    try:
+        if args.algo not in PREDICTION_ALGORITHMS:
+            OnlineStepPolicy.parse(args.algo)
+        OnlineStepPolicy.parse(args.fallback)
+    except ValueError as exc:
+        raise SystemExit(f"pktsched run: {exc}") from None
     realization = read_instance_csv(args.real)
     predicted = read_instance_csv(args.pred) if args.pred else None
     try:

@@ -3,6 +3,10 @@
 Jobs, instances, schedules, feasibility, the dominance relation, canonical
 (earliest-deadline) ordering, and the CSV instance format shared by the
 whole package. Everything here is an immutable value; operations are pure.
+
+Weights are kept as given and may tie. Every order on jobs in the package
+is :func:`heavier_first` or :func:`edf_first`, where on a weight tie the
+smaller id counts as heavier, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -12,12 +16,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional
-
-# Step used to separate tied weights deterministically (scaled by the
-# smallest positive weight in the instance).
-WEIGHT_TIE_STEP = 2.0 ** -40
 
 
 class InfeasibleSelection(ValueError):
@@ -64,34 +65,23 @@ def dominates(j: Job, j2: Job) -> bool:
     return j.weight > j2.weight and j.deadline <= j2.deadline
 
 
-def _break_weight_ties(jobs: tuple[Job, ...]) -> tuple[Job, ...]:
-    """Make weights pairwise distinct by adding id-rank-scaled increments.
+def heavier_first(job: Job) -> tuple[float, str]:
+    """Sort key: larger weight first; on a tie the smaller id is heavier."""
+    return (-job.weight, job.id)
 
-    Applied only when ties exist so that already-distinct inputs keep their
-    weights bit-for-bit. The increment scale is the smallest positive
-    weight (1 when all weights are zero), far below any meaningful gap.
-    """
-    weights = [j.weight for j in jobs]
-    if len(set(weights)) == len(weights):
-        return jobs
-    positive = [w for w in weights if w > 0]
-    step = WEIGHT_TIE_STEP * (min(positive) if positive else 1.0)
-    bumped = tuple(
-        Job(j.id, j.release, j.deadline, j.weight + rank * step)
-        for rank, j in enumerate(jobs)
-    )
-    if len({j.weight for j in bumped}) != len(bumped):
-        raise ValueError("weight tie-break failed to separate weights")
-    return bumped
+
+def edf_first(job: Job) -> tuple[int, float, str]:
+    """Sort key: earliest deadline first, deadline ties by heavier_first."""
+    return (job.deadline, -job.weight, job.id)
 
 
 @dataclass(frozen=True)
 class Instance:
     """A finite job collection plus the time horizon (slots 0..horizon).
 
-    Jobs are stored sorted by id; ids are unique and weights pairwise
-    distinct. Build instances through :meth:`of`, which fills in the
-    default horizon (the largest deadline) and separates tied weights.
+    Jobs are stored sorted by id; ids are unique. Weights may tie (see the
+    module docstring for how jobs are ordered). Build instances through
+    :meth:`of`, which fills in the default horizon (the largest deadline).
     """
 
     jobs: tuple[Job, ...]
@@ -101,8 +91,6 @@ class Instance:
         ids = [j.id for j in self.jobs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate job ids in instance")
-        if len({j.weight for j in self.jobs}) != len(self.jobs):
-            raise ValueError("instance weights must be pairwise distinct; use Instance.of")
         for j in self.jobs:
             if j.deadline > self.horizon:
                 raise ValueError(f"job {j.id!r}: deadline exceeds horizon {self.horizon}")
@@ -111,7 +99,9 @@ class Instance:
 
     @classmethod
     def of(cls, jobs: Iterable[Job], horizon: Optional[int] = None) -> "Instance":
-        ordered = _break_weight_ties(tuple(sorted(jobs, key=lambda j: j.id)))
+        """Jobs sorted by id, weights kept bit-for-bit; horizon defaults to
+        the largest deadline."""
+        ordered = tuple(sorted(jobs, key=lambda j: j.id))
         max_deadline = max((j.deadline for j in ordered), default=0)
         if horizon is None:
             horizon = max_deadline
@@ -163,30 +153,28 @@ def pending_set(instance: Instance, processed: set[str], t: int) -> set[Job]:
 def canonicalize(instance: Instance, selected: set[str]) -> Schedule:
     """Schedule exactly the selected jobs in canonical order.
 
-    At each slot the released, not-yet-placed selected job with the
-    earliest deadline runs; deadline ties go to the larger weight, then
-    the smaller id. Raises InfeasibleSelection when some selected job
-    cannot be placed before its deadline.
+    At each slot the released, not-yet-placed selected job first in
+    :func:`edf_first` order runs. Raises InfeasibleSelection when some
+    selected job cannot be placed before its deadline.
     """
     unknown = selected - set(instance.by_id)
     if unknown:
         raise KeyError(f"selected ids not in instance: {sorted(unknown)}")
-    chosen = sorted(
-        (instance.by_id[i] for i in selected), key=lambda j: (j.release, j.id)
-    )
-    heap: list[tuple[int, float, str, Job]] = []
+    # The heap holds edf_first keys alone, (deadline, -weight, id): they
+    # end in the unique id, so the order jobs are pushed in is immaterial.
+    chosen = sorted((instance.by_id[i] for i in selected), key=attrgetter("release"))
+    heap: list[tuple[int, float, str]] = []
     slots: list[Optional[Job]] = []
     idx = 0
     for t in range(instance.horizon + 1):
         while idx < len(chosen) and chosen[idx].release <= t:
-            j = chosen[idx]
-            heappush(heap, (j.deadline, -j.weight, j.id, j))
+            heappush(heap, edf_first(chosen[idx]))
             idx += 1
         if heap and heap[0][0] <= t:
             raise InfeasibleSelection(
                 f"job {heap[0][2]!r} expires unscheduled at slot {t}"
             )
-        slots.append(heappop(heap)[3] if heap else None)
+        slots.append(instance.by_id[heappop(heap)[2]] if heap else None)
     return Schedule(tuple(slots))
 
 

@@ -27,6 +27,7 @@ from .core import (
     Schedule,
     canonicalize,
     feasible_at,
+    heavier_first,
     schedule_weight,
 )
 
@@ -49,12 +50,12 @@ class PrefixOptSeries:
 class _SlotMatching:
     """Jobs matched onto unit slots by iterative augmenting-path search.
 
-    ``add_if_fits`` is the greedy matroid step (call in decreasing weight
+    ``add_if_fits`` is the greedy matroid step (call in ``heavier_first``
     order for a maximum-weight set). ``insert`` additionally performs the
     exchange step needed when jobs arrive in release order: a newcomer that
-    cannot be added outright evicts the lightest job on its blocking
-    structure when the newcomer is heavier. A matching takes its jobs
-    through one of the two.
+    cannot be added outright evicts the last job of its blocking structure
+    in ``heavier_first`` order when the newcomer comes before it. A
+    matching takes its jobs through one of the two.
 
     A search walks alternating paths with an explicit stack and records,
     for each slot it reaches, the job that reached it; those records are
@@ -145,19 +146,19 @@ class _SlotMatching:
         A failed augmentation leaves the matching untouched and has
         explored exactly the alternating-reachable slots, whose owners are
         the jobs whose removal would admit the newcomer (the matroid
-        circuit, whatever slots they hold); evicting the lightest of them
-        is the optimal exchange. The jobs on the recorded path to the
-        evicted job's slot shift into it, so no second search is needed.
+        circuit, whatever slots they hold). Evicting the last of them in
+        ``heavier_first`` order, when the newcomer comes before it, keeps
+        the set ``add_if_fits`` would pick from the same jobs, ties
+        included. The jobs on the recorded path to the evicted job's slot
+        shift into it, so no second search is needed.
         Evictions free slots, so no interval is skipped as proven full.
         """
         free, reached = self._search(job, skip_full=False)
         if free is not None:
             self._shift_into(free, reached)
             return True, None
-        lightest = min(
-            (self.owner[s] for s in reached), key=lambda j: (j.weight, j.id)
-        )
-        if lightest.weight >= job.weight:
+        lightest = max((self.owner[s] for s in reached), key=heavier_first)
+        if heavier_first(lightest) < heavier_first(job):
             return False, None
         freed = self.slot_of.pop(lightest.id)
         self._shift_into(freed, reached)
@@ -169,7 +170,7 @@ class _SlotMatching:
 
 def _optimal_ids(instance: Instance) -> set[str]:
     matching = _SlotMatching()
-    for job in sorted(instance.jobs, key=lambda j: (-j.weight, j.id)):
+    for job in sorted(instance.jobs, key=heavier_first):
         matching.add_if_fits(job)
     return matching.selected_ids()
 
@@ -240,7 +241,7 @@ def prefix_opt_series(instance: Instance) -> PrefixOptSeries:
     matching = _SlotMatching()
     values: list[float] = []
     for t in range(instance.horizon + 1):
-        for job in sorted(by_release.get(t, ()), key=lambda j: (-j.weight, j.id)):
+        for job in sorted(by_release.get(t, ()), key=heavier_first):
             matching.insert(job)
         schedule = canonicalize(instance, matching.selected_ids())
         values.append(schedule_weight(schedule, upto=t))

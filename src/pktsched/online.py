@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, Job, Schedule, pending_set
+from .core import Instance, Job, Schedule, edf_first, heavier_first, pending_set
 
 # Golden ratio: modified greedy's weight threshold and its competitive ratio
 # on agreeable-deadline instances.
@@ -23,14 +23,14 @@ def greedy_step(buffer: set[Job]) -> Optional[str]:
     """Heaviest buffered job; None on an empty buffer."""
     if not buffer:
         return None
-    return min(buffer, key=lambda j: (-j.weight, j.id)).id
+    return min(buffer, key=heavier_first).id
 
 
 def edf_step(buffer: set[Job]) -> Optional[str]:
-    """Earliest-deadline job, deadline ties to the larger weight."""
+    """First buffered job in ``edf_first`` order; None on an empty buffer."""
     if not buffer:
         return None
-    return min(buffer, key=lambda j: (j.deadline, -j.weight, j.id)).id
+    return min(buffer, key=edf_first).id
 
 
 def edf_alpha_step(buffer: set[Job], alpha: float) -> Optional[str]:
@@ -42,7 +42,7 @@ def edf_alpha_step(buffer: set[Job], alpha: float) -> Optional[str]:
         return None
     top = max(j.weight for j in buffer)
     eligible = [j for j in buffer if j.weight >= alpha * top]
-    return min(eligible, key=lambda j: (j.deadline, -j.weight, j.id)).id
+    return min(eligible, key=edf_first).id
 
 
 def mg_step(buffer: set[Job]) -> Optional[str]:
@@ -50,11 +50,11 @@ def mg_step(buffer: set[Job]) -> Optional[str]:
     the heaviest job, else the heaviest job."""
     if not buffer:
         return None
-    heaviest = min(buffer, key=lambda j: (-j.weight, j.id))
-    # The first job in (deadline, -weight, id) order is never dominated: a
-    # job dominating it would be heavier with a no-later deadline, so it
-    # would sort first. Filtering out dominated jobs cannot change the pick.
-    earliest = min(buffer, key=lambda j: (j.deadline, -j.weight, j.id))
+    heaviest = min(buffer, key=heavier_first)
+    # The first job in edf_first order is never dominated: a job dominating
+    # it would be heavier with a no-later deadline, so it would sort first.
+    # Filtering out dominated jobs cannot change the pick.
+    earliest = min(buffer, key=edf_first)
     pick = earliest if earliest.weight >= heaviest.weight / PHI else heaviest
     return pick.id
 

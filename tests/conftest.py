@@ -20,13 +20,20 @@ def j2():
     return mk([("a", 0, 1, 0.01), ("b", 0, 2, 1.0), ("c", 1, 2, 0.999)])
 
 
-def random_instance(rng, max_jobs=8, max_horizon=8, min_jobs=0):
+# Weights for instances where ties are common, zero included.
+TIED_WEIGHTS = (0.0, 0.25, 0.5, 1.0)
+
+
+def random_instance(rng, max_jobs=8, max_horizon=8, min_jobs=0, weights=None):
+    """Random jobs; weights are uniform in [0, 1), or drawn from the given
+    sequence (e.g. TIED_WEIGHTS) when one is passed."""
     n = rng.randint(min_jobs, max_jobs)
     jobs = []
     for i in range(n):
         r = rng.randint(0, max_horizon - 1)
         d = rng.randint(r + 1, max_horizon)
-        jobs.append(Job(f"j{i:02d}", r, d, rng.random()))
+        w = rng.random() if weights is None else rng.choice(weights)
+        jobs.append(Job(f"j{i:02d}", r, d, w))
     return Instance.of(jobs)
 
 

@@ -53,7 +53,13 @@ from pktsched.experiments import (
 )
 from pktsched.lap import ONLINE
 from pktsched.cli import main as cli_main
-from conftest import adversarial_prediction, mk, random_agreeable, random_instance
+from conftest import (
+    TIED_WEIGHTS,
+    adversarial_prediction,
+    mk,
+    random_agreeable,
+    random_instance,
+)
 
 MASTER_SEED = 20240801
 
@@ -94,12 +100,13 @@ def test_01_oracle_equivalence():
     rng = random.Random(MASTER_SEED)
     started = time.perf_counter()
     mismatches = []
-    for i in range(500):
-        inst = random_instance(rng, max_jobs=8, max_horizon=8)
-        matched = schedule_weight(opt_schedule(inst))
-        brute = brute_force_opt(inst)[0]
-        if matched != brute:
-            mismatches.append((i, matched, brute))
+    for weights in (None, TIED_WEIGHTS):
+        for i in range(500):
+            inst = random_instance(rng, max_jobs=8, max_horizon=8, weights=weights)
+            matched = schedule_weight(opt_schedule(inst))
+            brute = brute_force_opt(inst)[0]
+            if matched != brute:
+                mismatches.append((i, weights, matched, brute))
     elapsed = time.perf_counter() - started
     ok = not mismatches and elapsed < 30.0
     assert _verdict(1, "oracle-equivalence", ok), (mismatches[:3], elapsed)
@@ -235,11 +242,11 @@ def _ratio_floor(real, t):
 
     M(t) is the most weight any schedule collects in slots [0, t]: the
     exact optimum over the jobs released by t with every deadline clipped
-    to t + 1 (weights are copied bit-for-bit; they are already pairwise
-    distinct). The test's denominator, the weight processed through t - 1
-    plus the candidate's, is that of a feasible schedule in [0, t], so it
-    is at most M(t); ``math.fsum`` rounds correctly, hence monotonically,
-    so the inequality survives floating point.
+    to t + 1 (weights are copied bit-for-bit). The test's denominator,
+    the weight processed through t - 1 plus the candidate's, is that of a
+    feasible schedule in [0, t], so it is at most M(t); ``math.fsum``
+    rounds correctly, hence monotonically, so the inequality survives
+    floating point.
     """
     clipped = tuple(
         Job(j.id, j.release, min(j.deadline, t + 1), j.weight)

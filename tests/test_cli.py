@@ -73,6 +73,22 @@ def test_run_trace_needs_lap_before_any_output(tmp_path, j2, capsys):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--algo", "gredy"], ["--algo", "lap", "--fallback", "gredy"],
+     ["--algo", "mg", "--fallback", "gredy"]],
+    ids=["algo", "lap-fallback", "mg-fallback"],
+)
+def test_run_rejects_unknown_policy_before_reading_input(tmp_path, flags, capsys):
+    # Neither file exists: a policy read after the input would fail there.
+    missing = [str(tmp_path / "real.csv"), str(tmp_path / "pred.csv")]
+    with pytest.raises(SystemExit, match="unknown policy 'gredy'") as exc:
+        main(["run", *flags, "--real", missing[0], "--pred", missing[1]])
+    # A string code is printed alone on exit, with no traceback.
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    assert capsys.readouterr() == ("", "")
+
+
 def test_gen_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     spec = "uniform:T=8,lo=1,hi=3,seed=11"

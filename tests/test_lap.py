@@ -15,6 +15,7 @@ from pktsched import (
     brute_force_opt,
     lap_run,
     local_test,
+    opt_schedule,
     prediction_error,
     prefix_opt_series,
     run_online,
@@ -22,7 +23,13 @@ from pktsched import (
     validate_schedule,
 )
 from pktsched.lap import ONLINE, PREDICTION, write_trace_csv
-from conftest import adversarial_prediction, mk, random_agreeable, random_instance
+from conftest import (
+    TIED_WEIGHTS,
+    adversarial_prediction,
+    mk,
+    random_agreeable,
+    random_instance,
+)
 
 
 def test_local_test_conventions():
@@ -109,16 +116,25 @@ def test_trace_matches_schedule():
         assert ok, violations
 
 
+def _assert_one_consistent(inst, optimum):
+    sched, trace = lap_run(inst, inst, 1.0, GREEDY)
+    assert schedule_weight(sched) == optimum
+    assert not any(
+        row.source == ONLINE and row.local_ratio is not None
+        for row in trace.rows
+    )
+
+
 def test_lap_consistency_random():
     rng = random.Random(59)
     for _ in range(40):
         inst = random_instance(rng)
-        sched, trace = lap_run(inst, inst, 1.0, GREEDY)
-        assert schedule_weight(sched) == brute_force_opt(inst)[0]
-        assert not any(
-            row.source == ONLINE and row.local_ratio is not None
-            for row in trace.rows
-        )
+        _assert_one_consistent(inst, brute_force_opt(inst)[0])
+    # Tied instances are larger than the exhaustive oracle allows; gate 01
+    # checks opt_schedule against it on tied weights too.
+    for _ in range(400):
+        inst = random_instance(rng, max_jobs=16, max_horizon=10, weights=TIED_WEIGHTS)
+        _assert_one_consistent(inst, schedule_weight(opt_schedule(inst)))
 
 
 def test_lap_smoothness_when_error_within_threshold():
