@@ -146,7 +146,11 @@ def schedule_weight(schedule: Schedule, upto: Optional[int] = None) -> float:
 
 
 def pending_set(instance: Instance, processed: set[str], t: int) -> set[Job]:
-    """Released, unprocessed, still-feasible jobs at slot t (the buffer)."""
+    """Released, unprocessed, still-feasible jobs at slot t (the buffer).
+
+    A scan of every job: the reference that ``online.Buffer``, which the
+    run loops keep slot by slot, is tested against. No run loop calls it.
+    """
     return {j for j in instance.jobs if j.id not in processed and feasible_at(j, t)}
 
 
@@ -157,7 +161,7 @@ def canonicalize(instance: Instance, selected: set[str]) -> Schedule:
     :func:`edf_first` order runs. Raises InfeasibleSelection when some
     selected job cannot be placed before its deadline.
     """
-    unknown = selected - set(instance.by_id)
+    unknown = [i for i in selected if i not in instance.by_id]
     if unknown:
         raise KeyError(f"selected ids not in instance: {sorted(unknown)}")
     # The heap holds edf_first keys alone, (deadline, -weight, id): they

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import Instance, Job, Schedule, feasible_at, pending_set
+from .core import Instance, Job, Schedule
 from .offline import PrefixOptSeries, prefix_opt_series
-from .online import OnlineStepPolicy
+from .online import Buffer, OnlineStepPolicy
 from .prediction import build_choices
 
 PREDICTION = "prediction"
@@ -108,32 +108,31 @@ def lap_run(
     real = realization.with_horizon(prediction.horizon)
     choices = build_choices(prediction).choices
     series = prefix_opt_series(real)
-    processed: set[str] = set()
-    processed_jobs: list[Job] = []
+    buffer = Buffer(real)
+    processed_weights: list[float] = []
     slots: list[Optional[Job]] = []
     rows: list[LapSlot] = []
     for t in range(real.horizon + 1):
+        pending = buffer.at(t)
         cid = choices[t] if t < len(choices) else None
         predicted = real.by_id.get(cid) if cid is not None else None
         ratio: Optional[float] = None
         chosen: Optional[Job] = None
         source = ONLINE
-        if (
-            predicted is not None
-            and predicted.id not in processed
-            and feasible_at(predicted, t)
-        ):
-            weights = [j.weight for j in processed_jobs]
-            passed, ratio = local_test(series, weights, predicted.weight, t, rho)
+        # Pending means released, unprocessed and feasible at t.
+        if predicted is not None and predicted in pending:
+            passed, ratio = local_test(
+                series, processed_weights, predicted.weight, t, rho
+            )
             if passed:
                 chosen = predicted
                 source = PREDICTION
         if chosen is None:
-            pick = policy.step(pending_set(real, processed, t))
+            pick = policy.step(pending)
             chosen = real.by_id[pick] if pick is not None else None
         if chosen is not None:
-            processed.add(chosen.id)
-            processed_jobs.append(chosen)
+            buffer.remove(chosen)
+            processed_weights.append(chosen.weight)
         slots.append(chosen)
         rows.append(
             LapSlot(

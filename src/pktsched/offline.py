@@ -4,8 +4,10 @@ The schedulable subsets of an instance form a matroid (a set is feasible
 iff it matches into the slots), so inserting jobs in decreasing weight
 with an augmenting-path feasibility check yields the exact maximum-weight
 schedule. A memoized exhaustive search over slot assignments serves as an
-independent oracle for small instances, and the prefix-optimum series is
-maintained incrementally as releases arrive.
+independent oracle for small instances. The prefix-optimum series is
+maintained incrementally as releases arrive: one running matching, and the
+earliest-deadline placement of its jobs, placed again only from the
+earliest slot an evicted job held.
 
 Windows are intervals of slots, so the augmenting search is iterative and
 grows one interval, reaching each slot at most once. A failed search ends
@@ -16,9 +18,12 @@ later augmenting path can end there, and the greedy skips it from then on.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Optional
 
 from .core import (
@@ -26,6 +31,7 @@ from .core import (
     Job,
     Schedule,
     canonicalize,
+    edf_first,
     feasible_at,
     heavier_first,
     schedule_weight,
@@ -229,20 +235,63 @@ def release_prefix(instance: Instance, t: int) -> Instance:
 def prefix_opt_series(instance: Instance) -> PrefixOptSeries:
     """Prefix-optimum weights for every t in [0, horizon].
 
-    Maintained incrementally: as each slot's releases arrive they are
-    inserted (with optimal exchange) into the running matching, which at
-    every t equals the maximum-weight schedulable subset of the released
-    jobs. Equivalent to re-solving opt_schedule per release prefix, at the
-    cost of a single matching overall.
+    As each slot's releases arrive they are inserted (with optimal
+    exchange) into the running matching, which at every t holds the
+    maximum-weight schedulable subset of the released jobs. Equivalent to
+    re-solving opt_schedule per release prefix, at the cost of a single
+    matching overall.
+
+    The canonical (EDF) placement of that selection is kept through slot
+    t - 1, with a heap of its released, unplaced jobs; evicted jobs still
+    in the heap are dropped when they reach its top. Jobs released at t
+    cannot change slots before t, and an evicted job that EDF had placed
+    at slot s < t leaves slots before s unchanged (EDF passed it over
+    there), so only slots s..t are placed again. values[t] sums the
+    placed weights of slots 0..t, the same multiset
+    ``schedule_weight(canonicalize(...), upto=t)`` sums.
     """
     by_release: dict[int, list[Job]] = defaultdict(list)
     for job in instance.jobs:
         by_release[job.release].append(job)
     matching = _SlotMatching()
+    selected = matching.slot_of
+    placed: list[Optional[Job]] = []
+    placed_at: dict[str, int] = {}
+    weights: list[float] = []
+    waiting: list[tuple[int, float, str]] = []
     values: list[float] = []
     for t in range(instance.horizon + 1):
+        start = t
         for job in sorted(by_release.get(t, ()), key=heavier_first):
-            matching.insert(job)
-        schedule = canonicalize(instance, matching.selected_ids())
-        values.append(schedule_weight(schedule, upto=t))
+            added, evicted = matching.insert(job)
+            if added:
+                heappush(waiting, edf_first(job))
+            if evicted is not None and evicted.id in placed_at:
+                start = min(start, placed_at[evicted.id])
+        # Selected jobs that re-enter the heap at their release while slots
+        # start..t are placed again (none when only slot t is placed).
+        replay: list[Job] = []
+        if start < t:
+            undone = [j for j in placed[start:] if j is not None]
+            for j in undone:
+                del placed_at[j.id]
+            del placed[start:], weights[start:]
+            undone += [instance.by_id[key[2]] for key in waiting]
+            replay = sorted(
+                (j for j in undone if j.id in selected), key=attrgetter("release")
+            )
+            waiting = []
+        i = 0
+        for s in range(start, t + 1):
+            while i < len(replay) and replay[i].release <= s:
+                heappush(waiting, edf_first(replay[i]))
+                i += 1
+            while waiting and waiting[0][2] not in selected:
+                heappop(waiting)
+            job = instance.by_id[heappop(waiting)[2]] if waiting else None
+            placed.append(job)
+            if job is not None:
+                placed_at[job.id] = s
+            weights.append(0.0 if job is None else job.weight)
+        values.append(math.fsum(weights))
     return PrefixOptSeries(tuple(values))

@@ -3,20 +3,58 @@
 Each step rule is memoryless: given the current buffer of feasible,
 unprocessed jobs it picks one job id (or none). That makes the rules
 usable standalone and as the fallback inside the learning-augmented
-scheduler, which may hand over mid-stream.
+scheduler, which may hand over mid-stream. A run keeps its buffer in a
+:class:`Buffer`, which changes only by the jobs released, expiring or run
+at each slot.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
-from .core import Instance, Job, Schedule, edf_first, heavier_first, pending_set
+from .core import Instance, Job, Schedule, edf_first, heavier_first
 
 # Golden ratio: modified greedy's weight threshold and its competitive ratio
 # on agreeable-deadline instances.
 PHI = (1 + math.sqrt(5)) / 2
+
+
+class Buffer:
+    """The pending jobs of one run: released, not run, not yet expired.
+
+    Call :meth:`at` for slots 0, 1, 2, ... in turn and pass every job that
+    runs to :meth:`remove`; then ``at(t)`` equals
+    ``core.pending_set(instance, run_so_far, t)``. A release-ordered
+    cursor adds jobs and a deadline-bucket map drops each job at slot
+    ``deadline``, so a slot costs only what changes at it.
+    """
+
+    def __init__(self, instance: Instance) -> None:
+        self.jobs: set[Job] = set()
+        self._arrivals = sorted(instance.jobs, key=attrgetter("release"))
+        self._next = 0
+        self._expiring: dict[int, list[Job]] = defaultdict(list)
+        for job in instance.jobs:
+            self._expiring[job.deadline].append(job)
+
+    def at(self, t: int) -> set[Job]:
+        """Admit the jobs released by t, drop those expiring at t, and
+        return the buffer (the step rules only read it)."""
+        arrivals, i = self._arrivals, self._next
+        while i < len(arrivals) and arrivals[i].release <= t:
+            self.jobs.add(arrivals[i])
+            i += 1
+        self._next = i
+        self.jobs.difference_update(self._expiring.pop(t, ()))
+        return self.jobs
+
+    def remove(self, job: Job) -> None:
+        """Take out a pending job that runs now."""
+        self.jobs.remove(job)
 
 
 def greedy_step(buffer: set[Job]) -> Optional[str]:
@@ -108,12 +146,12 @@ MG = OnlineStepPolicy("mg")
 
 def run_online(policy: OnlineStepPolicy, instance: Instance) -> Schedule:
     """Drive a step policy over every slot of the instance."""
-    processed: set[str] = set()
+    buffer = Buffer(instance)
     slots: list[Optional[Job]] = []
     for t in range(instance.horizon + 1):
-        pick = policy.step(pending_set(instance, processed, t))
+        pick = policy.step(buffer.at(t))
         job = instance.by_id[pick] if pick is not None else None
         if job is not None:
-            processed.add(job.id)
+            buffer.remove(job)
         slots.append(job)
     return Schedule(tuple(slots))

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, Job, Schedule, feasible_at, schedule_weight
+from .core import Instance, Job, Schedule, feasible_at
 from .offline import opt_schedule, prefix_opt_series
 
 
@@ -66,12 +66,16 @@ def prediction_error(realization: Instance, prediction: Instance) -> float:
     real = realization.with_horizon(prediction.horizon)
     series = prefix_opt_series(real).values
     followed = apply_choices(build_choices(prediction), real)
+    collected: list[float] = []
     ratios: list[float] = []
     for t in range(real.horizon + 1):
+        job = followed.slots[t]
+        if job is not None:
+            collected.append(job.weight)
         numerator = series[t]
         if numerator == 0.0:
             continue
-        denominator = schedule_weight(followed, upto=t)
+        denominator = math.fsum(collected)
         if denominator == 0.0:
             return math.inf
         ratios.append(numerator / denominator)

@@ -90,7 +90,8 @@ def test_prefix_series_matches_per_t_recompute():
     # on every release prefix, and with the exhaustive oracle. With tied
     # weights the oracle may return another optimal set, whose canonical
     # prefix weight can differ, so tied instances check the matching only;
-    # they catch an exchange that breaks ties unlike the greedy.
+    # they catch an exchange that breaks ties unlike the greedy. Instances
+    # beyond the oracle's guard also check the matching only.
     rng = random.Random(109)
     for _ in range(40):
         inst = random_instance(rng)
@@ -99,12 +100,50 @@ def test_prefix_series_matches_per_t_recompute():
             prefix = release_prefix(inst, t)
             assert values[t] == schedule_weight(opt_schedule(prefix), upto=t)
             assert values[t] == schedule_weight(brute_force_opt(prefix)[1], upto=t)
-    for _ in range(300):
-        inst = random_instance(rng, max_jobs=16, max_horizon=10, weights=TIED_WEIGHTS)
+    tied = [
+        random_instance(rng, max_jobs=16, max_horizon=10, weights=TIED_WEIGHTS)
+        for _ in range(300)
+    ]
+    # Overloaded power-law bursts with windows up to 12 slots wide: most
+    # jobs are rejected, and releases often evict jobs the earliest-deadline
+    # placement already holds, so the series places those slots again.
+    overloaded = [
+        gen_powerlaw(
+            GeneratorSpec("powerlaw", horizon=20, a=30, m=100, max_slack=12, seed=seed)
+        )
+        for seed in range(8)
+    ]
+    assert all(len(opt_schedule(i).job_ids()) < len(i.jobs) for i in overloaded)
+    for inst in tied + overloaded:
         values = prefix_opt_series(inst).values
         for t in range(inst.horizon + 1):
             prefix = release_prefix(inst, t)
             assert values[t] == schedule_weight(opt_schedule(prefix), upto=t)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # At t=1, d cannot fit and evicts a, which EDF had placed at slot 0;
+        # b takes slot 0 in the replay.
+        (
+            [("a", 0, 2, 1.0), ("b", 0, 3, 2.0), ("c", 1, 3, 5.0), ("d", 1, 3, 4.0)],
+            (1.0, 7.0, 11.0, 11.0),
+        ),
+        # At t=2, z evicts a from slot 0. x (released at 1, placed at 1) is
+        # replayed too and must not move to slot 0, where it would beat b.
+        (
+            [("a", 0, 3, 1.0), ("b", 0, 4, 2.0), ("x", 1, 4, 3.0),
+             ("y", 2, 4, 10.0), ("z", 2, 4, 9.0)],
+            (1.0, 4.0, 15.0, 24.0, 24.0),
+        ),
+    ],
+)
+def test_prefix_series_replays_after_evicting_a_placed_job(rows, expected):
+    inst = mk(rows)
+    assert prefix_opt_series(inst).values == expected
+    for t, value in enumerate(expected):
+        assert value == schedule_weight(opt_schedule(release_prefix(inst, t)), upto=t)
 
 
 def test_prefix_dominance_of_full_optimum():

@@ -16,11 +16,13 @@ from pktsched import (
     edf_step,
     greedy_step,
     mg_step,
+    pending_set,
     run_online,
     schedule_weight,
     validate_schedule,
 )
-from conftest import mk, random_agreeable, random_instance
+from pktsched.online import Buffer
+from conftest import TIED_WEIGHTS, mk, random_agreeable, random_instance
 
 
 def _buffer(rows):
@@ -101,6 +103,31 @@ def test_steps_pick_buffer_members():
         for policy in (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)):
             assert policy.step(buffer) in ids
             assert policy.step(set()) is None
+
+
+def test_buffer_matches_pending_set():
+    # Slot by slot, the running buffer equals the full scan. Each slot runs
+    # either the step rule's pick or, as LAP does when it follows the
+    # prediction, some other pending job.
+    rng = random.Random(53)
+    policies = (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5))
+    for k in range(400):
+        weights = TIED_WEIGHTS if k % 2 else None
+        inst = random_instance(rng, max_jobs=12, max_horizon=10, weights=weights)
+        policy = policies[k % len(policies)]
+        buffer = Buffer(inst)
+        processed = set()
+        for t in range(inst.horizon + 1):
+            pending = buffer.at(t)
+            assert pending == pending_set(inst, processed, t)
+            if not pending:
+                continue
+            if rng.random() < 0.5:
+                job = inst.by_id[policy.step(pending)]
+            else:
+                job = rng.choice(sorted(pending, key=lambda j: j.id))
+            buffer.remove(job)
+            processed.add(job.id)
 
 
 def test_run_online_examples(j2):
