@@ -7,7 +7,6 @@ from .core import (
     ParseError,
     Schedule,
     canonicalize,
-    dominates,
     feasible_at,
     pending_set,
     read_instance_csv,
@@ -24,8 +23,7 @@ from .experiments import (
     PerturbationSpec,
     ResultRecord,
     competitive_ratio,
-    gen_powerlaw,
-    gen_uniform,
+    generate,
     ingest_snap_events,
     perturb,
     run_algorithm,
@@ -38,7 +36,6 @@ from .offline import (
     brute_force_opt,
     opt_schedule,
     prefix_opt_series,
-    release_prefix,
 )
 from .online import (
     EDF,

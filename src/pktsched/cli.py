@@ -20,7 +20,7 @@ from .experiments import (
     run_experiment_to_dir,
     write_day_instances,
 )
-from .lap import write_trace_csv
+from .lap import check_threshold, write_trace_csv
 from .offline import opt_schedule
 from .online import OnlineStepPolicy
 from .prediction import prediction_error
@@ -57,6 +57,7 @@ def _cmd_run(args) -> int:
         if args.algo not in PREDICTION_ALGORITHMS:
             OnlineStepPolicy.parse(args.algo)
         OnlineStepPolicy.parse(args.fallback)
+        check_threshold(args.rho)
     except ValueError as exc:
         raise SystemExit(f"pktsched run: {exc}") from None
     realization = read_instance_csv(args.real)
@@ -69,7 +70,8 @@ def _cmd_run(args) -> int:
         raise SystemExit(f"--algo {args.algo} requires --pred") from None
     print(f"# algorithm={args.algo}")
     print(f"# weight={schedule_weight(schedule)!r}")
-    print(f"# competitive_ratio={competitive_ratio(realization, schedule)!r}")
+    best = schedule_weight(opt_schedule(realization))
+    print(f"# competitive_ratio={competitive_ratio(realization, schedule, best)!r}")
     if predicted is not None:
         print(f"# eta={prediction_error(realization, predicted)!r}")
     _print_schedule(schedule)

@@ -1,8 +1,8 @@
 """Core model for unit-length packet scheduling with deadlines.
 
-Jobs, instances, schedules, feasibility, the dominance relation, canonical
-(earliest-deadline) ordering, and the CSV instance format shared by the
-whole package. Everything here is an immutable value; operations are pure.
+Jobs, instances, schedules, feasibility, canonical (earliest-deadline)
+ordering, and the CSV instance format shared by the whole package.
+Everything here is an immutable value; operations are pure.
 
 Weights are kept as given and may tie. Every order on jobs in the package
 is :func:`heavier_first` or :func:`edf_first`, where on a weight tie the
@@ -58,11 +58,6 @@ class Job:
 def feasible_at(job: Job, t: int) -> bool:
     """True iff the job may run in slot t (released, not yet expired)."""
     return job.release <= t <= job.deadline - 1
-
-
-def dominates(j: Job, j2: Job) -> bool:
-    """True iff j is strictly heavier with a no-later deadline than j2."""
-    return j.weight > j2.weight and j.deadline <= j2.deadline
 
 
 def heavier_first(job: Job) -> tuple[float, str]:

@@ -40,6 +40,8 @@ from .online import OnlineStepPolicy, run_online
 from .prediction import blind_follow, prediction_error
 
 WEIGHT_FLOOR = 1e-9
+# Event-log timestamps are bucketed into days of this many seconds.
+DAY_S = 86_400
 
 # The algorithms that follow a prediction; every other name is an
 # OnlineStepPolicy that sees only the realization.
@@ -118,34 +120,19 @@ def _agreeable_jobs(
     return jobs
 
 
-def gen_uniform(spec: GeneratorSpec) -> Instance:
-    """Per-slot arrival counts uniform on [lo, hi]."""
-    if spec.kind != "uniform":
-        raise ValueError(f"spec kind is {spec.kind!r}, not 'uniform'")
-    rng = random.Random(spec.seed)
-    counts = [rng.randint(spec.lo, spec.hi) for _ in range(spec.horizon)]
-    return Instance.of(_agreeable_jobs(counts, rng, spec.max_slack))
-
-
-def power_law_sample(rng: random.Random, a: float) -> float:
-    """Draw from density a * x**(a-1) on [0, 1] (inverse CDF)."""
-    return rng.random() ** (1.0 / a)
-
-
-def gen_powerlaw(spec: GeneratorSpec) -> Instance:
-    """Per-slot arrival counts round(m * (1 - p)), p power-law distributed."""
-    if spec.kind != "powerlaw":
-        raise ValueError(f"spec kind is {spec.kind!r}, not 'powerlaw'")
-    rng = random.Random(spec.seed)
-    counts = [
-        max(0, round(spec.m * (1.0 - power_law_sample(rng, spec.a))))
-        for _ in range(spec.horizon)
-    ]
-    return Instance.of(_agreeable_jobs(counts, rng, spec.max_slack))
-
-
 def generate(spec: GeneratorSpec) -> Instance:
-    return gen_uniform(spec) if spec.kind == "uniform" else gen_powerlaw(spec)
+    """The agreeable instance ``spec`` describes. One seeded stream draws
+    the per-slot counts first (a power-law p by inverse CDF), then each
+    job's slack and weight."""
+    rng = random.Random(spec.seed)
+    if spec.kind == "uniform":
+        counts = [rng.randint(spec.lo, spec.hi) for _ in range(spec.horizon)]
+    else:
+        counts = [
+            max(0, round(spec.m * (1.0 - rng.random() ** (1.0 / spec.a))))
+            for _ in range(spec.horizon)
+        ]
+    return Instance.of(_agreeable_jobs(counts, rng, spec.max_slack))
 
 
 _KEY_ALIASES = {"t": "horizon", "slack": "max_slack"}
@@ -236,7 +223,6 @@ def perturb(instance: Instance, spec: PerturbationSpec) -> Instance:
 
 def ingest_snap_events(
     path: Path | str,
-    day_bucket_s: int = 86_400,
     slots_per_day: int = 75,
     band: tuple[int, int] = (300, 500),
     max_slack: int = 10,
@@ -273,16 +259,16 @@ def ingest_snap_events(
         raise EmptyDataset(f"no events in {path}")
     by_day: dict[int, list[int]] = {}
     for ts in events:
-        by_day.setdefault(ts // day_bucket_s, []).append(ts)
+        by_day.setdefault(ts // DAY_S, []).append(ts)
     instances: list[Instance] = []
     for day_index, day_key in enumerate(sorted(by_day)):
         stamps = sorted(by_day[day_key])
         if not lo <= len(stamps) <= hi:
             continue
-        start = day_key * day_bucket_s
+        start = day_key * DAY_S
         counts = [0] * slots_per_day
         for ts in stamps:
-            slot = 1 + (ts - start) * slots_per_day // day_bucket_s
+            slot = 1 + (ts - start) * slots_per_day // DAY_S
             counts[min(max(slot, 1), slots_per_day) - 1] += 1
         rng = random.Random(derive_seed(seed, "day", day_key))
         jobs = _agreeable_jobs(counts, rng, max_slack, id_prefix=f"d{day_index:03d}e")
@@ -290,12 +276,13 @@ def ingest_snap_events(
     return instances
 
 
-def competitive_ratio(instance: Instance, schedule: Schedule) -> float:
-    """Optimal weight over achieved weight (1 when both are zero)."""
+def competitive_ratio(instance: Instance, schedule: Schedule, best: float) -> float:
+    """The instance's optimal weight ``best`` over the schedule's weight (1
+    when both are zero). Raises InvalidSchedule for a schedule the
+    instance does not admit."""
     ok, violations = validate_schedule(instance, schedule)
     if not ok:
         raise InvalidSchedule("; ".join(violations))
-    best = schedule_weight(opt_schedule(instance))
     achieved = schedule_weight(schedule)
     if achieved == 0.0:
         return 1.0 if best == 0.0 else math.inf
@@ -349,7 +336,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep not in ("sigma", "k"):
             raise ValueError(f"sweep must be 'sigma' or 'k', got {self.sweep!r}")
-        if self.rho_excess < 0:
+        if not self.rho_excess >= 0:
             raise ValueError("rho_excess must be >= 0")
         for name in self.algorithms:
             if name not in PREDICTION_ALGORITHMS:
@@ -409,39 +396,41 @@ def run_algorithm(
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     """Run the full sweep and return one record per (value, trial, algorithm).
 
-    Deterministic given the seed: base instances are seeded per trial
-    (shared across sweep values, so curves compare like against like) and
-    perturbations per (sweep value, trial).
+    The trials are built once: one generated realization per trial, seeded
+    per trial, or the qualifying days of an event log. Every sweep value
+    reuses them, so curves compare like against like, and each is solved
+    once for the optimum its ratios divide. Perturbations are seeded per
+    (sweep value, trial).
     """
-    day_instances: Optional[list[Instance]] = None
-    if config.dataset not in ("uniform", "powerlaw"):
-        day_instances = ingest_snap_events(
+    if config.dataset in ("uniform", "powerlaw"):
+        realizations = [
+            generate(
+                GeneratorSpec(
+                    kind=config.dataset,
+                    horizon=config.horizon,
+                    lo=config.lo,
+                    hi=config.hi,
+                    a=config.a,
+                    m=config.m,
+                    max_slack=config.max_slack,
+                    seed=derive_seed(config.seed, "instance", trial),
+                )
+            )
+            for trial in range(config.trials)
+        ]
+    else:
+        realizations = ingest_snap_events(
             config.dataset,
             slots_per_day=config.slots_per_day,
             max_slack=config.max_slack,
             seed=derive_seed(config.seed, "ingest"),
             ts_col=config.ts_col,
         )
-    trials = len(day_instances) if day_instances is not None else config.trials
+    optima = [schedule_weight(opt_schedule(r)) for r in realizations]
     rho, fallback = 1.0 + config.rho_excess, config.spelled(config.fallback)
     records: list[ResultRecord] = []
     for sweep_index, value in enumerate(config.values):
-        for trial in range(trials):
-            if day_instances is not None:
-                realization = day_instances[trial]
-            else:
-                realization = generate(
-                    GeneratorSpec(
-                        kind=config.dataset,
-                        horizon=config.horizon,
-                        lo=config.lo,
-                        hi=config.hi,
-                        a=config.a,
-                        m=config.m,
-                        max_slack=config.max_slack,
-                        seed=derive_seed(config.seed, "instance", trial),
-                    )
-                )
+        for trial, realization in enumerate(realizations):
             pert_seed = derive_seed(config.seed, "perturb", sweep_index, trial)
             if config.sweep == "sigma":
                 pspec = PerturbationSpec("weight-gauss", sigma=value, seed=pert_seed)
@@ -463,7 +452,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
                         trial=trial,
                         algorithm=name,
                         eta=eta,
-                        ratio=competitive_ratio(realization, schedule),
+                        ratio=competitive_ratio(realization, schedule, optima[trial]),
                         runtime_s=elapsed,
                     )
                 )
@@ -541,8 +530,9 @@ def run_experiment_to_dir(config: ExperimentConfig) -> list[ResultRecord]:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = run_experiment(config)
+    trials = len({r.trial for r in records})
     meta = [
-        f"dataset={config.dataset} sweep={config.sweep} trials={config.trials} "
+        f"dataset={config.dataset} sweep={config.sweep} trials={trials} "
         f"seed={config.seed} rho={1.0 + config.rho_excess!r} "
         f"fallback={config.fallback} alpha={config.alpha!r}",
         "weights and deadlines are synthetic reconstructions: "

@@ -43,16 +43,12 @@ class LapSlot:
     job_id: Optional[str]
     weight: float
     local_ratio: Optional[float]
-    predicted_id: Optional[str]
 
 
 @dataclass(frozen=True)
 class LapTrace:
     rho: float
     rows: tuple[LapSlot, ...]
-
-    def processed_ids(self) -> set[str]:
-        return {r.job_id for r in self.rows if r.job_id is not None}
 
     @property
     def t_lambda(self) -> int:
@@ -63,6 +59,12 @@ class LapTrace:
             if r.local_ratio is not None and r.local_ratio <= self.rho
         ]
         return passed[-1] + 1 if passed else 0
+
+
+def check_threshold(rho: float) -> None:
+    """Raise InvalidThreshold unless rho >= 1 (so NaN is rejected too)."""
+    if not rho >= 1:
+        raise InvalidThreshold(f"threshold must be >= 1, got {rho}")
 
 
 def local_test(
@@ -80,8 +82,7 @@ def local_test(
     sides are zero, infinity when only the denominator is. Returns
     (ratio <= rho, ratio).
     """
-    if rho < 1:
-        raise InvalidThreshold(f"threshold must be >= 1, got {rho}")
+    check_threshold(rho)
     numerator = prefix_opt.values[t]
     denominator = math.fsum((*processed_weights, candidate_weight))
     if denominator == 0.0:
@@ -103,8 +104,7 @@ def lap_run(
     optimum of the realization is shared (cached) across runs on the same
     realization.
     """
-    if rho < 1:
-        raise InvalidThreshold(f"threshold must be >= 1, got {rho}")
+    check_threshold(rho)
     real = realization.with_horizon(prediction.horizon)
     choices = build_choices(prediction).choices
     series = prefix_opt_series(real)
@@ -141,7 +141,6 @@ def lap_run(
                 job_id=chosen.id if chosen is not None else None,
                 weight=chosen.weight if chosen is not None else 0.0,
                 local_ratio=ratio,
-                predicted_id=cid,
             )
         )
     return Schedule(tuple(slots)), LapTrace(rho, tuple(rows))

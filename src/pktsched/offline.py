@@ -224,13 +224,6 @@ def brute_force_opt(instance: Instance) -> tuple[float, Schedule]:
     return schedule_weight(schedule), schedule
 
 
-def release_prefix(instance: Instance, t: int) -> Instance:
-    """The sub-instance of jobs released by t, over the same horizon."""
-    return Instance(
-        tuple(j for j in instance.jobs if j.release <= t), instance.horizon
-    )
-
-
 @lru_cache(maxsize=64)
 def prefix_opt_series(instance: Instance) -> PrefixOptSeries:
     """Prefix-optimum weights for every t in [0, horizon].

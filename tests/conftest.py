@@ -1,6 +1,6 @@
 import pytest
 
-from pktsched import GeneratorSpec, Instance, Job, PerturbationSpec, gen_uniform, perturb
+from pktsched import GeneratorSpec, Instance, Job, PerturbationSpec, generate, perturb
 
 
 def mk(rows, horizon=None):
@@ -46,7 +46,7 @@ def random_agreeable(rng, max_window=6, lo=1, hi=2, max_slack=5):
         max_slack=max_slack,
         seed=rng.randrange(2**32),
     )
-    return gen_uniform(spec)
+    return generate(spec)
 
 
 def reversed_weights(instance):

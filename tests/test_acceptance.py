@@ -117,7 +117,7 @@ def test_02_lower_bound_fixture():
     brute = brute_force_opt(j2)[0]
     followed = blind_follow(j1, j2)
     weight = schedule_weight(followed)
-    ratio = competitive_ratio(j2, followed)
+    ratio = competitive_ratio(j2, followed, brute)
     ok = (
         brute == 1.999
         and weight == 1.01

@@ -74,15 +74,18 @@ def test_run_trace_needs_lap_before_any_output(tmp_path, j2, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--algo", "gredy"], ["--algo", "lap", "--fallback", "gredy"],
-     ["--algo", "mg", "--fallback", "gredy"]],
-    ids=["algo", "lap-fallback", "mg-fallback"],
+    "flags, message",
+    [(["--algo", "gredy"], "unknown policy 'gredy'"),
+     (["--algo", "lap", "--fallback", "gredy"], "unknown policy 'gredy'"),
+     (["--algo", "mg", "--fallback", "gredy"], "unknown policy 'gredy'"),
+     (["--algo", "lap", "--rho", "0.5"], "threshold must be >= 1, got 0.5"),
+     (["--algo", "lap", "--rho", "nan"], "threshold must be >= 1, got nan")],
+    ids=["algo", "lap-fallback", "mg-fallback", "rho", "rho-nan"],
 )
-def test_run_rejects_unknown_policy_before_reading_input(tmp_path, flags, capsys):
-    # Neither file exists: a policy read after the input would fail there.
+def test_run_rejects_unknown_policy_before_reading_input(tmp_path, flags, message, capsys):
+    # Neither file exists: an option checked after the input would fail there.
     missing = [str(tmp_path / "real.csv"), str(tmp_path / "pred.csv")]
-    with pytest.raises(SystemExit, match="unknown policy 'gredy'") as exc:
+    with pytest.raises(SystemExit, match=f"^pktsched run: {message}$") as exc:
         main(["run", *flags, "--real", missing[0], "--pred", missing[1]])
     # A string code is printed alone on exit, with no traceback.
     assert isinstance(exc.value.code, str) and "\n" not in exc.value.code

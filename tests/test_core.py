@@ -12,7 +12,6 @@ from pktsched import (
     Schedule,
     brute_force_opt,
     canonicalize,
-    dominates,
     feasible_at,
     opt_schedule,
     pending_set,
@@ -22,6 +21,7 @@ from pktsched import (
     write_instance_csv,
 )
 from conftest import mk, random_instance
+from reference import dominates
 
 
 def test_job_validation():

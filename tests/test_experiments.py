@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from pathlib import Path
@@ -19,8 +20,7 @@ from pktsched import (
     Schedule,
     blind_follow,
     competitive_ratio,
-    gen_powerlaw,
-    gen_uniform,
+    generate,
     ingest_snap_events,
     lap_run,
     opt_schedule,
@@ -28,6 +28,7 @@ from pktsched import (
     run_algorithm,
     run_experiment,
     run_online,
+    schedule_weight,
 )
 from pktsched.core import write_instance_csv
 from pktsched.experiments import (
@@ -48,7 +49,7 @@ def _is_agreeable(instance):
 
 
 def test_gen_uniform_bounds_and_agreeability():
-    inst = gen_uniform(GeneratorSpec("uniform", seed=5))
+    inst = generate(GeneratorSpec("uniform", seed=5))
     assert 150 <= len(inst.jobs) <= 600
     assert _is_agreeable(inst)
     assert all(1 <= j.release <= 75 for j in inst.jobs)
@@ -57,19 +58,19 @@ def test_gen_uniform_bounds_and_agreeability():
 
 
 def test_gen_uniform_empty_and_determinism():
-    empty = gen_uniform(GeneratorSpec("uniform", lo=0, hi=0, seed=1))
+    empty = generate(GeneratorSpec("uniform", lo=0, hi=0, seed=1))
     assert not empty.jobs
-    a = gen_uniform(GeneratorSpec("uniform", horizon=10, seed=42))
-    b = gen_uniform(GeneratorSpec("uniform", horizon=10, seed=42))
+    a = generate(GeneratorSpec("uniform", horizon=10, seed=42))
+    b = generate(GeneratorSpec("uniform", horizon=10, seed=42))
     assert a == b
-    c = gen_uniform(GeneratorSpec("uniform", horizon=10, seed=43))
+    c = generate(GeneratorSpec("uniform", horizon=10, seed=43))
     assert a != c
 
 
 def test_gen_powerlaw_mean_counts():
     # E[count] ~= m / (a + 1); check within 10% over 10^4 slots.
     spec = GeneratorSpec("powerlaw", horizon=10_000, a=150.0, m=500.0, seed=9)
-    inst = gen_powerlaw(spec)
+    inst = generate(spec)
     mean = len(inst.jobs) / spec.horizon
     expected = spec.m / (spec.a + 1.0)
     assert abs(mean - expected) <= 0.1 * expected
@@ -77,8 +78,8 @@ def test_gen_powerlaw_mean_counts():
 
 
 def test_gen_powerlaw_degenerate_params():
-    assert not gen_powerlaw(GeneratorSpec("powerlaw", horizon=50, m=0.0, seed=1)).jobs
-    sparse = gen_powerlaw(
+    assert not generate(GeneratorSpec("powerlaw", horizon=50, m=0.0, seed=1)).jobs
+    sparse = generate(
         GeneratorSpec("powerlaw", horizon=10_000, a=1e6, m=500.0, seed=2)
     )
     assert len(sparse.jobs) / 10_000 < 0.01
@@ -144,6 +145,10 @@ def _write_events(path, days):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Four days of events, three of them inside the default 300-500 band.
+THREE_DAY_LOG = [(0, 320), (1, 200), (2, 350), (3, 300)]
+
+
 def test_ingest_day_banding(tmp_path):
     events = tmp_path / "events.txt"
     _write_events(events, [(0, 350), (1, 200), (2, 500), (3, 501), (4, 300)])
@@ -190,14 +195,15 @@ def test_ingest_errors(tmp_path):
 
 
 def test_competitive_ratio(j1, j2):
-    assert competitive_ratio(j2, opt_schedule(j2)) == 1.0
-    ratio = competitive_ratio(j2, blind_follow(j1, j2))
+    best = schedule_weight(opt_schedule(j2))
+    assert competitive_ratio(j2, opt_schedule(j2), best) == 1.0
+    ratio = competitive_ratio(j2, blind_follow(j1, j2), best)
     assert abs(ratio - 1.999 / 1.01) < 1e-12
     dummies = Schedule((None, None, None))
-    assert math.isinf(competitive_ratio(j2, dummies))
+    assert math.isinf(competitive_ratio(j2, dummies, best))
     bad = Schedule((j2.by_id["c"], None, None))  # runs before release
     with pytest.raises(InvalidSchedule):
-        competitive_ratio(j2, bad)
+        competitive_ratio(j2, bad, best)
 
 
 def test_derive_seed_stability():
@@ -241,6 +247,42 @@ def test_run_experiment_deterministic():
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
 
+RECORD_COLUMNS = ("dataset", "sweep", "sweep_value", "trial", "algorithm", "eta", "ratio")
+PINNED_SIGMAS = (0.0, 0.1, 0.3)
+PINNED_KS = (0.0, 1.0, 3.0)
+PINNED_SMALL = dict(horizon=12, max_slack=4, trials=3, seed=11)
+UNIFORM_SMALL = dict(dataset="uniform", lo=1, hi=3, **PINNED_SMALL)
+POWERLAW_SMALL = dict(dataset="powerlaw", a=3.0, m=8.0, **PINNED_SMALL)
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (dict(sweep="sigma", values=PINNED_SIGMAS, **UNIFORM_SMALL), "7beb311c68643c571c86"),
+        (dict(sweep="k", values=PINNED_KS, **UNIFORM_SMALL), "e49465cebee31ac8451a"),
+        (dict(sweep="sigma", values=PINNED_SIGMAS, **POWERLAW_SMALL), "cbf4762ea88075c23247"),
+        (dict(sweep="k", values=PINNED_KS, **POWERLAW_SMALL), "ecfa56673af629ec0c97"),
+        (dict(dataset="events.txt", sweep="sigma", values=(0.0, 0.2), trials=3, seed=11),
+         "a692758c99a0a8768899"),
+    ],
+    ids=["uniform-sigma", "uniform-k", "powerlaw-sigma", "powerlaw-k", "events-sigma"],
+)
+def test_multi_trial_sweeps_match_pinned_digests(tmp_path, monkeypatch, config, digest):
+    # Every column but the wall clock, over three trials per sweep value,
+    # so a realization, perturbation or optimum paired with the wrong trial
+    # changes the digest. The event log is read by a relative path, so the
+    # dataset column is the same wherever the test runs.
+    monkeypatch.chdir(tmp_path)
+    _write_events(tmp_path / "events.txt", THREE_DAY_LOG)
+    records = run_experiment(ExperimentConfig(**config))
+    assert len({r.trial for r in records}) == 3
+    h = hashlib.sha256()
+    for r in records:
+        h.update(",".join(repr(getattr(r, col)) for col in RECORD_COLUMNS).encode())
+        h.update(b"\n")
+    assert h.hexdigest()[:20] == digest
+
+
 def test_series_rows_grouping():
     records = run_experiment(_tiny_config())
     rows = series_rows(records)
@@ -281,6 +323,19 @@ def test_config_file_and_output_dir(tmp_path):
     assert (out / "series.csv").read_text().splitlines()[0] == \
         "sweep_value,algorithm,mean_ratio,stderr"
     assert len(records) == 2 * 2 * 2
+    assert " trials=2 " in (out / "results.csv").read_text().splitlines()[0]
+
+    # An event log runs one trial per qualifying day, whatever trials says.
+    events = tmp_path / "events.txt"
+    _write_events(events, THREE_DAY_LOG)
+    cfg.write_text(
+        f"dataset = {events}\nsweep = k\nvalues = 0\ntrials = 10\n"
+        f"algorithms = greedy\nout_dir = {out}\n",
+        encoding="utf-8",
+    )
+    records = run_experiment_to_dir(parse_config_file(cfg))
+    assert len(records) == 3
+    assert " trials=3 " in (out / "results.csv").read_text().splitlines()[0]
 
 
 def test_config_validation():
@@ -290,6 +345,9 @@ def test_config_validation():
         _tiny_config(algorithms=("lap", "gredy"))
     with pytest.raises(ValueError, match="unknown policy 'gredy'"):
         _tiny_config(algorithms=("greedy",), fallback="gredy")
+    for rho_excess in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="rho_excess must be >= 0"):
+            _tiny_config(rho_excess=rho_excess)
     with pytest.raises(ValueError, match="alpha in"):
         _tiny_config(algorithms=("edf-alpha",), alpha=2.0)
     with pytest.raises(ValueError, match="alpha in"):

@@ -30,6 +30,7 @@ from conftest import (
     random_agreeable,
     random_instance,
 )
+from reference import processed_ids
 
 
 def test_local_test_conventions():
@@ -94,8 +95,11 @@ def test_lap_switches_back_and_forth():
 
 
 def test_lap_threshold_validation(j2):
-    with pytest.raises(InvalidThreshold):
-        lap_run(j2, j2, 0.1, GREEDY)
+    for rho in (0.1, math.nan):
+        with pytest.raises(InvalidThreshold):
+            lap_run(j2, j2, rho, GREEDY)
+        with pytest.raises(InvalidThreshold):
+            local_test(prefix_opt_series(j2), [], 1.0, 0, rho)
 
 
 def test_trace_matches_schedule():
@@ -105,7 +109,7 @@ def test_trace_matches_schedule():
         pred = adversarial_prediction(real, rng.choice(("empty", "reversed", "shifted")),
                                       rng.randrange(2**32))
         sched, trace = lap_run(pred, real, 1.1, GREEDY)
-        assert trace.processed_ids() == sched.job_ids()
+        assert processed_ids(trace) == sched.job_ids()
         assert [row.weight for row in trace.rows] == [
             j.weight if j else 0.0 for j in sched.slots
         ]

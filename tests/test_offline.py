@@ -10,14 +10,14 @@ from pktsched import (
     TooLarge,
     brute_force_opt,
     canonicalize,
-    gen_powerlaw,
+    generate,
     opt_schedule,
     prefix_opt_series,
-    release_prefix,
     schedule_weight,
     validate_schedule,
 )
 from conftest import TIED_WEIGHTS, mk, random_instance
+from reference import release_prefix
 
 
 def test_opt_schedule_examples(j2):
@@ -108,7 +108,7 @@ def test_prefix_series_matches_per_t_recompute():
     # jobs are rejected, and releases often evict jobs the earliest-deadline
     # placement already holds, so the series places those slots again.
     overloaded = [
-        gen_powerlaw(
+        generate(
             GeneratorSpec("powerlaw", horizon=20, a=30, m=100, max_slack=12, seed=seed)
         )
         for seed in range(8)
@@ -188,7 +188,7 @@ def test_opt_matches_matroid_greedy_on_overloaded_wide_windows():
     # far beyond brute force, and the shape where a failed search proves
     # a whole interval of slots full.
     for seed in range(4):
-        inst = gen_powerlaw(
+        inst = generate(
             GeneratorSpec("powerlaw", horizon=30, a=30, m=500, max_slack=25, seed=seed)
         )
         opt = opt_schedule(inst)

@@ -11,7 +11,6 @@ from pktsched import (
     Job,
     OnlineStepPolicy,
     brute_force_opt,
-    dominates,
     edf_alpha_step,
     edf_step,
     greedy_step,
@@ -23,6 +22,7 @@ from pktsched import (
 )
 from pktsched.online import Buffer
 from conftest import TIED_WEIGHTS, mk, random_agreeable, random_instance
+from reference import dominates
 
 
 def _buffer(rows):
