@@ -222,13 +222,17 @@ def read_instance_csv(path: Path | str) -> Instance:
     """Parse an instance file (UTF-8 CSV with header id,release,deadline,weight).
 
     A comment line ``# horizon=T`` before the header fixes the horizon;
-    otherwise the largest deadline is used.
+    otherwise the largest deadline is used. Each data line is one row.
     """
     horizon: Optional[int] = None
     jobs: list[Job] = []
     first_line: dict[str, int] = {}
     header_seen = False
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    line_no = taken = 0
+
+    def data_lines(fh):
+        # Stripped data lines for one csv.reader; line_no is the current one.
+        nonlocal horizon, line_no
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -241,7 +245,15 @@ def read_instance_csv(path: Path | str) -> Instance:
                     except ValueError:
                         raise ParseError(f"bad horizon comment {line!r}", line_no)
                 continue
-            row = next(csv.reader([line]))
+            yield line
+            if taken != line_no:
+                # The line ended inside a quoted field and the reader asks
+                # for more: close the field, as the end of input would.
+                yield '"'
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for row in csv.reader(data_lines(fh)):
+            taken = line_no
             if not header_seen:
                 if [c.strip() for c in row] != CSV_HEADER:
                     raise ParseError(f"expected header {','.join(CSV_HEADER)}", line_no)

@@ -305,9 +305,10 @@ class ResultRecord:
 class ExperimentConfig:
     """One sweep: a dataset, a perturbation grid, and an algorithm roster.
 
-    ``dataset`` is ``uniform``, ``powerlaw``, or a path to an event log
-    (in which case trials are its qualifying days). ``sweep`` is ``sigma``
-    (weight noise) or ``k`` (deadline shift). ``algorithms`` and
+    ``dataset`` is ``uniform`` or ``powerlaw``, run for ``trials`` >= 1
+    generated trials, or a path to an event log (in which case trials are
+    its qualifying days). ``sweep`` is ``sigma`` (weight noise) or ``k``
+    (deadline shift, whole ``values`` only). ``algorithms`` and
     ``fallback`` take the names :func:`run_algorithm` reads; a bare
     ``edf-alpha`` runs with threshold ``alpha``. The learning-augmented
     scheduler runs with threshold 1 + rho_excess and the named fallback;
@@ -336,6 +337,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep not in ("sigma", "k"):
             raise ValueError(f"sweep must be 'sigma' or 'k', got {self.sweep!r}")
+        if self.sweep == "k":
+            for value in self.values:
+                if not float(value).is_integer():
+                    raise ValueError(f"k sweep values must be whole numbers, got {value!r}")
+        if self.dataset in ("uniform", "powerlaw") and self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if not self.rho_excess >= 0:
             raise ValueError("rho_excess must be >= 0")
         for name in self.algorithms:

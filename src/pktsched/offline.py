@@ -14,6 +14,10 @@ grows one interval, reaching each slot at most once. A failed search ends
 on a closed interval: every slot in it is taken by a job whose window lies
 inside it. While jobs are only added, no slot there is ever freed, so no
 later augmenting path can end there, and the greedy skips it from then on.
+The series' exchange step may free a slot, so it remembers only the
+interval of its latest failed search, which stays closed until the next
+one, and rejects without a search a newcomer whose window lies inside it
+and which comes after all of its owners in ``heavier_first`` order.
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ class _SlotMatching:
     a closed interval: all of its slots are occupied, by jobs whose windows
     lie inside it. Without evictions no slot there is ever freed, so no
     later augmenting path can end there; ``add_if_fits`` remembers these
-    intervals in ``_full`` and skips them.
+    intervals in ``_full`` and skips them. ``insert`` remembers only the
+    latest one, in ``_closed`` (see there).
     """
 
     def __init__(self) -> None:
@@ -77,6 +82,9 @@ class _SlotMatching:
         self.slot_of: dict[str, int] = {}
         # _full[s] = a later slot e with every slot in [s, e) proven full.
         self._full: dict[int, int] = {}
+        # _closed = (lo, hi, key): the interval [lo, hi) of insert's latest
+        # failed search and the heavier_first key of its last owner.
+        self._closed: Optional[tuple[int, int, tuple[float, str]]] = None
 
     def _next_open(self, s: int) -> int:
         """Smallest slot >= s not proven full (compresses the jump chain)."""
@@ -157,17 +165,49 @@ class _SlotMatching:
         the set ``add_if_fits`` would pick from the same jobs, ties
         included. The jobs on the recorded path to the evicted job's slot
         shift into it, so no second search is needed.
-        Evictions free slots, so no interval is skipped as proven full.
+
+        Every failed search leaves ``_closed`` = (lo, hi, key): its
+        interval [lo, hi) and the ``heavier_first`` key of the last owner
+        there once the insert is done. A later newcomer whose window lies
+        inside [lo, hi) and which comes after that key is rejected without
+        a search. That is exact, because the interval stays closed, with
+        the same owners, until the next failed search replaces it:
+
+        - a successful augmenting path never enters a closed interval: a
+          path that enters one stays inside it, and it has no free slot;
+        - a rejection changes nothing;
+        - after an eviction the search's own interval is still closed: all
+          of its slots are held by jobs whose windows lie inside it.
+
+        The newcomer's own search would stay inside [lo, hi) and fail, and
+        the last owner it reached would come no later than that key.
         """
+        closed = self._closed
+        key = heavier_first(job)
+        if (
+            closed is not None
+            and closed[0] <= job.release
+            and job.deadline <= closed[1]
+            and closed[2] < key
+        ):
+            return False, None
         free, reached = self._search(job, skip_full=False)
         if free is not None:
             self._shift_into(free, reached)
             return True, None
-        lightest = max((self.owner[s] for s in reached), key=heavier_first)
-        if heavier_first(lightest) < heavier_first(job):
+        owner = self.owner
+        lo, hi = min(reached), max(reached) + 1
+        keys = [heavier_first(owner[s]) for s in reached]
+        last = max(keys)
+        if last < key:
+            self._closed = (lo, hi, last)
             return False, None
-        freed = self.slot_of.pop(lightest.id)
+        freed = self.slot_of.pop(last[1])
+        lightest = owner[freed]
         self._shift_into(freed, reached)
+        # The newcomer now holds a slot there in the evicted job's stead.
+        keys[keys.index(last)] = key
+        self._closed = (lo, hi, max(keys))
         return True, lightest
 
     def selected_ids(self) -> set[str]:

@@ -353,6 +353,20 @@ def test_config_validation():
     with pytest.raises(ValueError, match="alpha in"):
         _tiny_config(fallback="edf-alpha", alpha=2.0)
     _tiny_config(algorithms=("greedy",), alpha=2.0)  # alpha unused: no error
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            _tiny_config(trials=trials)
+
+
+def test_k_sweep_takes_whole_values_only():
+    for values in ((0.7, 2.9), (1.0, math.nan), (math.inf,)):
+        with pytest.raises(ValueError, match="k sweep values must be whole numbers"):
+            _tiny_config(sweep="k", values=values)
+    # Whole floats run as their integer k, under their own label.
+    floats = run_experiment(_tiny_config(sweep="k", values=(0.0, 2.0)))
+    ints = run_experiment(_tiny_config(sweep="k", values=(0, 2)))
+    assert [r.sweep_value for r in floats] == [0.0] * 6 + [2.0] * 6
+    assert [(r.eta, r.ratio) for r in floats] == [(r.eta, r.ratio) for r in ints]
 
 
 def test_run_algorithm_matches_each_runner(j1, j2):

@@ -16,6 +16,8 @@ from pktsched import (
     schedule_weight,
     validate_schedule,
 )
+from pktsched.core import heavier_first
+from pktsched.offline import _SlotMatching
 from conftest import TIED_WEIGHTS, mk, random_instance
 from reference import release_prefix
 
@@ -119,6 +121,88 @@ def test_prefix_series_matches_per_t_recompute():
         for t in range(inst.horizon + 1):
             prefix = release_prefix(inst, t)
             assert values[t] == schedule_weight(opt_schedule(prefix), upto=t)
+
+
+def _series_by_resolve(inst):
+    """values[t] re-solved from scratch on the jobs released by t."""
+    return tuple(
+        schedule_weight(opt_schedule(release_prefix(inst, t)), upto=t)
+        for t in range(inst.horizon + 1)
+    )
+
+
+def _series_fuzz_instances(rng):
+    for _ in range(150):
+        yield random_instance(rng, max_jobs=14, max_horizon=10)
+        yield random_instance(rng, max_jobs=20, max_horizon=10, weights=TIED_WEIGHTS)
+        yield random_instance(rng, max_jobs=10, max_horizon=8, weights=(0.0,))
+    # Horizon 0 admits no job: every deadline is at least 1.
+    yield Instance.of([])
+    yield Instance.of([], horizon=5)
+    for _ in range(40):
+        release = rng.randint(0, 4)
+        deadline = rng.randint(release + 1, 8)
+        weight = rng.choice(TIED_WEIGHTS + (rng.random(),))
+        yield mk([(f"j{i}", release, deadline, weight) for i in range(rng.randint(1, 9))])
+        yield mk(
+            [
+                (f"j{i}", rng.randrange(deadline), deadline, rng.choice(TIED_WEIGHTS))
+                for i in range(rng.randint(1, 12))
+            ]
+        )
+    # Overloaded power-law bursts with wide windows: most newcomers are
+    # rejected, many inside the interval the previous failed search closed.
+    for seed in range(6):
+        yield generate(
+            GeneratorSpec(
+                "powerlaw",
+                horizon=rng.randint(15, 30),
+                a=30,
+                m=rng.choice((100.0, 500.0)),
+                max_slack=rng.randint(8, 25),
+                seed=seed,
+            )
+        )
+
+
+def test_prefix_series_fuzz_matches_per_prefix_resolve():
+    rng = random.Random(127)
+    for inst in _series_fuzz_instances(rng):
+        assert prefix_opt_series(inst).values == _series_by_resolve(inst)
+
+
+def test_insert_rejects_inside_last_closed_interval_without_search(monkeypatch):
+    inst = generate(
+        GeneratorSpec("powerlaw", horizon=30, a=30, m=500, max_slack=25, seed=0)
+    )
+    best = opt_schedule(inst).job_ids()
+    searched = []
+    search = _SlotMatching._search
+
+    def counted(self, job, skip_full):
+        searched.append(job.id)
+        return search(self, job, skip_full)
+
+    monkeypatch.setattr(_SlotMatching, "_search", counted)
+    matching = _SlotMatching()
+    for job in sorted(inst.jobs, key=lambda j: (j.release, heavier_first(j))):
+        matching.insert(job)
+    assert matching.selected_ids() == best
+    # 297 inserts, 108 searches: the rest are rejected by the shortcut.
+    assert len(searched) < len(inst.jobs) / 2
+
+
+def test_insert_in_any_order_selects_the_optimum():
+    # The series inserts in release order, where every newcomer starts at
+    # or after the remembered interval; other orders exercise its start.
+    rng = random.Random(131)
+    for inst in _series_fuzz_instances(rng):
+        jobs = list(inst.jobs)
+        rng.shuffle(jobs)
+        matching = _SlotMatching()
+        for job in jobs:
+            matching.insert(job)
+        assert matching.selected_ids() == opt_schedule(inst).job_ids()
 
 
 @pytest.mark.parametrize(
