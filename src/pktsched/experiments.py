@@ -188,8 +188,10 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.kind not in ("weight-gauss", "deadline-shift"):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        if self.sigma < 0 or self.k < 0:
-            raise ValueError("sigma and k must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k!r}")
 
 
 def perturb(instance: Instance, spec: PerturbationSpec) -> Instance:
@@ -337,10 +339,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep not in ("sigma", "k"):
             raise ValueError(f"sweep must be 'sigma' or 'k', got {self.sweep!r}")
-        if self.sweep == "k":
-            for value in self.values:
-                if not float(value).is_integer():
-                    raise ValueError(f"k sweep values must be whole numbers, got {value!r}")
+        if not self.values:
+            raise ValueError("values must name at least one sweep value")
+        for value in self.values:
+            if self.sweep == "k" and not float(value).is_integer():
+                raise ValueError(f"k sweep values must be whole numbers, got {value!r}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"values must be finite and >= 0, got {value!r}")
         if self.dataset in ("uniform", "powerlaw") and self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if not self.rho_excess >= 0:
@@ -407,7 +412,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     per trial, or the qualifying days of an event log. Every sweep value
     reuses them, so curves compare like against like, and each is solved
     once for the optimum its ratios divide. Perturbations are seeded per
-    (sweep value, trial).
+    (sweep value, trial). Only ``lap`` and ``blind`` read the prediction,
+    so they run at every sweep value; every other algorithm runs once per
+    trial, and its rows at every sweep value repeat that run's ratio and
+    wall time (``runtime_s``).
     """
     if config.dataset in ("uniform", "powerlaw"):
         realizations = [
@@ -435,6 +443,23 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
         )
     optima = [schedule_weight(opt_schedule(r)) for r in realizations]
     rho, fallback = 1.0 + config.rho_excess, config.spelled(config.fallback)
+
+    def ratio_and_runtime(
+        name: str, trial: int, predicted: Optional[Instance]
+    ) -> tuple[float, float]:
+        started = time.perf_counter()
+        schedule, _ = run_algorithm(
+            config.spelled(name), realizations[trial], predicted, rho, fallback
+        )
+        elapsed = time.perf_counter() - started
+        return competitive_ratio(realizations[trial], schedule, optima[trial]), elapsed
+
+    prediction_free = {
+        (trial, name): ratio_and_runtime(name, trial, None)
+        for trial in range(len(realizations))
+        for name in config.algorithms
+        if name not in PREDICTION_ALGORITHMS
+    }
     records: list[ResultRecord] = []
     for sweep_index, value in enumerate(config.values):
         for trial, realization in enumerate(realizations):
@@ -446,11 +471,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
             predicted = perturb(realization, pspec)
             eta = prediction_error(realization, predicted)
             for name in config.algorithms:
-                started = time.perf_counter()
-                schedule, _ = run_algorithm(
-                    config.spelled(name), realization, predicted, rho, fallback
-                )
-                elapsed = time.perf_counter() - started
+                if name in PREDICTION_ALGORITHMS:
+                    ratio, elapsed = ratio_and_runtime(name, trial, predicted)
+                else:
+                    ratio, elapsed = prediction_free[trial, name]
                 records.append(
                     ResultRecord(
                         dataset=config.dataset,
@@ -459,7 +483,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
                         trial=trial,
                         algorithm=name,
                         eta=eta,
-                        ratio=competitive_ratio(realization, schedule, optima[trial]),
+                        ratio=ratio,
                         runtime_s=elapsed,
                     )
                 )

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from pktsched import (
     run_online,
     schedule_weight,
 )
+from pktsched import experiments
 from pktsched.core import write_instance_csv
 from pktsched.experiments import (
     derive_seed,
@@ -127,6 +129,16 @@ def test_perturb_deadline_clamp():
     pred = perturb(inst, PerturbationSpec("deadline-shift", k=5, seed=seed))
     assert pred.jobs[0].deadline == 4  # clamped to release + 1
     assert pred.jobs[0].weight == 1.0
+
+
+def test_perturbation_spec_rejects_bad_magnitudes():
+    for sigma in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            PerturbationSpec("weight-gauss", sigma=sigma)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        PerturbationSpec("deadline-shift", k=-1)
+    PerturbationSpec("weight-gauss", sigma=1e9)
+    PerturbationSpec("deadline-shift", k=6)
 
 
 def test_perturb_determinism(j2):
@@ -283,6 +295,51 @@ def test_multi_trial_sweeps_match_pinned_digests(tmp_path, monkeypatch, config, 
     assert h.hexdigest()[:20] == digest
 
 
+def test_prediction_free_algorithms_run_once_per_trial(monkeypatch):
+    calls = []
+
+    def counted(algorithm, realization, *rest):
+        calls.append((algorithm, realization))
+        return run_algorithm(algorithm, realization, *rest)
+
+    monkeypatch.setattr(experiments, "run_algorithm", counted)
+    config = ExperimentConfig(sweep="sigma", values=PINNED_SIGMAS, **UNIFORM_SMALL)
+    records = run_experiment(config)
+    assert len(records) == 3 * 3 * len(config.algorithms)
+    realizations = {id(realization) for _, realization in calls}
+    assert len(realizations) == 3
+    per_name = Counter(name for name, _ in calls)
+    assert per_name == {
+        "lap": 9, "mg": 3, "greedy": 3, "edf": 3, "edf-alpha:0.5": 3,
+    }
+    per_pair = Counter((name, id(realization)) for name, realization in calls)
+    assert all(
+        count == (3 if name == "lap" else 1) for (name, _), count in per_pair.items()
+    )
+
+
+def test_prediction_free_rows_repeat_their_trials_run():
+    config = _tiny_config(values=(0.0, 0.2, 0.5))
+    seen: dict = {}
+    for r in run_experiment(config):
+        seen.setdefault((r.trial, r.algorithm), []).append((r.ratio, r.runtime_s))
+    for trial in range(config.trials):
+        realization = generate(
+            GeneratorSpec(
+                kind="uniform", horizon=config.horizon, lo=config.lo, hi=config.hi,
+                max_slack=config.max_slack,
+                seed=derive_seed(config.seed, "instance", trial),
+            )
+        )
+        best = schedule_weight(opt_schedule(realization))
+        for name in ("greedy", "edf"):
+            rows = seen[trial, name]
+            assert len(rows) == 3 and len(set(rows)) == 1, (trial, name)
+            schedule = run_online(OnlineStepPolicy.parse(name), realization)
+            assert rows[0][0] == competitive_ratio(realization, schedule, best)
+        assert len(seen[trial, "lap"]) == 3
+
+
 def test_series_rows_grouping():
     records = run_experiment(_tiny_config())
     rows = series_rows(records)
@@ -356,6 +413,16 @@ def test_config_validation():
     for trials in (0, -2):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             _tiny_config(trials=trials)
+    with pytest.raises(ValueError, match="values must name at least one"):
+        _tiny_config(values=())
+    for sweep, values in (
+        ("sigma", (0.0, math.nan)),
+        ("sigma", (0.0, -0.1)),
+        ("sigma", (0.0, math.inf)),
+        ("k", (0.0, -1.0)),
+    ):
+        with pytest.raises(ValueError, match="values must be finite and >= 0"):
+            _tiny_config(sweep=sweep, values=values)
 
 
 def test_k_sweep_takes_whole_values_only():
