@@ -31,7 +31,6 @@ from .experiments import (
 )
 from .lap import InvalidThreshold, LapSlot, LapTrace, lap_run, local_test
 from .offline import (
-    PrefixOptSeries,
     TooLarge,
     brute_force_opt,
     opt_schedule,
@@ -50,7 +49,6 @@ from .online import (
     run_online,
 )
 from .prediction import (
-    ChoiceSequence,
     apply_choices,
     blind_follow,
     build_choices,

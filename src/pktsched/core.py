@@ -106,12 +106,6 @@ class Instance:
     def by_id(self) -> dict[str, Job]:
         return {j.id: j for j in self.jobs}
 
-    def with_horizon(self, horizon: int) -> "Instance":
-        """Same jobs over the larger of ``horizon`` and this horizon."""
-        if horizon <= self.horizon:
-            return self
-        return Instance(self.jobs, horizon)
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -221,43 +215,34 @@ def write_instance_csv(instance: Instance, path: Path | str) -> None:
 def read_instance_csv(path: Path | str) -> Instance:
     """Parse an instance file (UTF-8 CSV with header id,release,deadline,weight).
 
-    A comment line ``# horizon=T`` before the header fixes the horizon;
-    otherwise the largest deadline is used. Each data line is one row.
+    Comment (``#``) and blank lines may precede the header; a comment
+    ``# horizon=T`` there fixes the horizon, otherwise the largest deadline
+    is used. Below the header every record but a blank line is a job row,
+    so any id ``write_instance_csv`` writes reads back unchanged.
     """
     horizon: Optional[int] = None
     jobs: list[Job] = []
     first_line: dict[str, int] = {}
-    header_seen = False
-    line_no = taken = 0
-
-    def data_lines(fh):
-        # Stripped data lines for one csv.reader; line_no is the current one.
-        nonlocal horizon, line_no
-        for line_no, raw in enumerate(fh, start=1):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for header_line, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 body = line[1:].strip()
-                if body.startswith("horizon=") and not header_seen:
+                if body.startswith("horizon="):
                     try:
                         horizon = int(body.split("=", 1)[1])
                     except ValueError:
-                        raise ParseError(f"bad horizon comment {line!r}", line_no)
-                continue
-            yield line
-            if taken != line_no:
-                # The line ended inside a quoted field and the reader asks
-                # for more: close the field, as the end of input would.
-                yield '"'
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(data_lines(fh)):
-            taken = line_no
-            if not header_seen:
-                if [c.strip() for c in row] != CSV_HEADER:
-                    raise ParseError(f"expected header {','.join(CSV_HEADER)}", line_no)
-                header_seen = True
+                        raise ParseError(f"bad horizon comment {line!r}", header_line)
+            elif line:
+                if [c.strip() for c in next(csv.reader([line]))] != CSV_HEADER:
+                    raise ParseError(f"expected header {','.join(CSV_HEADER)}", header_line)
+                break
+        else:
+            raise ParseError("missing header row", 1)
+        reader = csv.reader(fh)
+        for row in reader:
+            line_no = header_line + reader.line_num
+            if len(row) < 2 and not "".join(row).strip():  # blank line
                 continue
             if len(row) != 4:
                 raise ParseError(f"expected 4 fields, got {len(row)}", line_no)
@@ -271,6 +256,4 @@ def read_instance_csv(path: Path | str) -> Instance:
                     line_no,
                 )
             first_line[row[0]] = line_no
-    if not header_seen:
-        raise ParseError("missing header row", 1)
     return Instance.of(jobs, horizon)

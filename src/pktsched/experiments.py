@@ -310,8 +310,8 @@ class ExperimentConfig:
     ``dataset`` is ``uniform`` or ``powerlaw``, run for ``trials`` >= 1
     generated trials, or a path to an event log (in which case trials are
     its qualifying days). ``sweep`` is ``sigma`` (weight noise) or ``k``
-    (deadline shift, whole ``values`` only). ``algorithms`` and
-    ``fallback`` take the names :func:`run_algorithm` reads; a bare
+    (deadline shift, whole ``values`` only). ``algorithms`` (each name
+    once) and ``fallback`` take the names :func:`run_algorithm` reads; a bare
     ``edf-alpha`` runs with threshold ``alpha``. The learning-augmented
     scheduler runs with threshold 1 + rho_excess and the named fallback;
     the benchmarks ignore the prediction.
@@ -350,7 +350,9 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if not self.rho_excess >= 0:
             raise ValueError("rho_excess must be >= 0")
-        for name in self.algorithms:
+        for i, name in enumerate(self.algorithms):
+            if name in self.algorithms[:i]:
+                raise ValueError(f"algorithms names {name!r} more than once")
             if name not in PREDICTION_ALGORITHMS:
                 OnlineStepPolicy.parse(self.spelled(name))
         OnlineStepPolicy.parse(self.spelled(self.fallback))

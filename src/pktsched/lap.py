@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import Instance, Job, Schedule
-from .offline import PrefixOptSeries, prefix_opt_series
+from .offline import prefix_opt_series
 from .online import Buffer, OnlineStepPolicy
 from .prediction import build_choices
 
@@ -68,7 +68,7 @@ def check_threshold(rho: float) -> None:
 
 
 def local_test(
-    prefix_opt: PrefixOptSeries,
+    prefix_opt: Sequence[float],
     processed_weights: Sequence[float],
     candidate_weight: float,
     t: int,
@@ -83,7 +83,7 @@ def local_test(
     (ratio <= rho, ratio).
     """
     check_threshold(rho)
-    numerator = prefix_opt.values[t]
+    numerator = prefix_opt[t]
     denominator = math.fsum((*processed_weights, candidate_weight))
     if denominator == 0.0:
         ratio = 1.0 if numerator == 0.0 else math.inf
@@ -98,24 +98,24 @@ def lap_run(
     rho: float,
     policy: OnlineStepPolicy,
 ) -> tuple[Schedule, LapTrace]:
-    """Run the learning-augmented scheduler over every slot.
+    """Run the learning-augmented scheduler over the realization's slots.
 
     The prediction's optimal choices are computed upfront; the prefix
     optimum of the realization is shared (cached) across runs on the same
-    realization.
+    realization. The schedule and trace span the realization's horizon:
+    no realized job is feasible after it, whatever the prediction's.
     """
     check_threshold(rho)
-    real = realization.with_horizon(prediction.horizon)
-    choices = build_choices(prediction).choices
-    series = prefix_opt_series(real)
-    buffer = Buffer(real)
+    choices = build_choices(prediction)
+    series = prefix_opt_series(realization)
+    buffer = Buffer(realization)
     processed_weights: list[float] = []
     slots: list[Optional[Job]] = []
     rows: list[LapSlot] = []
-    for t in range(real.horizon + 1):
+    for t in range(realization.horizon + 1):
         pending = buffer.at(t)
         cid = choices[t] if t < len(choices) else None
-        predicted = real.by_id.get(cid) if cid is not None else None
+        predicted = realization.by_id.get(cid) if cid is not None else None
         ratio: Optional[float] = None
         chosen: Optional[Job] = None
         source = ONLINE
@@ -129,7 +129,7 @@ def lap_run(
                 source = PREDICTION
         if chosen is None:
             pick = policy.step(pending)
-            chosen = real.by_id[pick] if pick is not None else None
+            chosen = realization.by_id[pick] if pick is not None else None
         if chosen is not None:
             buffer.remove(chosen)
             processed_weights.append(chosen.weight)

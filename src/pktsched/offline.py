@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from operator import attrgetter
@@ -47,14 +46,6 @@ BRUTE_FORCE_MAX_HORIZON = 12
 
 class TooLarge(ValueError):
     """Instance exceeds the brute-force enumeration guard."""
-
-
-@dataclass(frozen=True)
-class PrefixOptSeries:
-    """values[t] = weight of slots [0, t] of the canonical optimum for the
-    jobs released by t (the optimum itself is taken over the full horizon)."""
-
-    values: tuple[float, ...]
 
 
 class _SlotMatching:
@@ -97,9 +88,7 @@ class _SlotMatching:
             full[p] = s
         return s
 
-    def _search(
-        self, job: Job, skip_full: bool
-    ) -> tuple[Optional[int], dict[int, Job]]:
+    def _search(self, job: Job) -> tuple[Optional[int], dict[int, Job]]:
         """Alternating search from the job's window, grown as an interval.
 
         Returns the free slot found (None when there is none) and the
@@ -108,10 +97,11 @@ class _SlotMatching:
         searched so far to cover its window; the stack holds the
         extensions not yet scanned, so each slot is reached at most once.
         On failure the interval is closed: it holds every slot the
-        newcomer could be routed to.
+        newcomer could be routed to. Slots proven full are skipped; only
+        ``add_if_fits`` proves any, so ``insert``'s searches see none.
         """
         owner = self.owner
-        full = self._full if skip_full else {}
+        full = self._full
         reached: dict[int, Job] = {}
         lo, hi = job.release, job.deadline
         stack = [(lo, hi, job)]
@@ -145,7 +135,7 @@ class _SlotMatching:
             s = prev
 
     def add_if_fits(self, job: Job) -> bool:
-        free, reached = self._search(job, skip_full=True)
+        free, reached = self._search(job)
         if free is None:
             end = max((j.deadline for j in reached.values()), default=0)
             for s in reached:
@@ -191,7 +181,7 @@ class _SlotMatching:
             and closed[2] < key
         ):
             return False, None
-        free, reached = self._search(job, skip_full=False)
+        free, reached = self._search(job)
         if free is not None:
             self._shift_into(free, reached)
             return True, None
@@ -265,8 +255,11 @@ def brute_force_opt(instance: Instance) -> tuple[float, Schedule]:
 
 
 @lru_cache(maxsize=64)
-def prefix_opt_series(instance: Instance) -> PrefixOptSeries:
+def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     """Prefix-optimum weights for every t in [0, horizon].
+
+    values[t] is the weight of slots [0, t] of the canonical optimum for
+    the jobs released by t (that optimum is taken over the full horizon).
 
     As each slot's releases arrive they are inserted (with optimal
     exchange) into the running matching, which at every t holds the
@@ -327,4 +320,4 @@ def prefix_opt_series(instance: Instance) -> PrefixOptSeries:
                 placed_at[job.id] = s
             weights.append(0.0 if job is None else job.weight)
         values.append(math.fsum(weights))
-    return PrefixOptSeries(tuple(values))
+    return tuple(values)

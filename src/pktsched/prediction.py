@@ -13,38 +13,32 @@ predicted choices actually collects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import Instance, Job, Schedule, feasible_at
 from .offline import opt_schedule, prefix_opt_series
 
 
-@dataclass(frozen=True)
-class ChoiceSequence:
-    """Slot-indexed job-id picks taken from a prediction's canonical optimum."""
-
-    choices: tuple[Optional[str], ...]
-
-
-def build_choices(prediction: Instance) -> ChoiceSequence:
+def build_choices(prediction: Instance) -> tuple[Optional[str], ...]:
     """Per-slot ids of the prediction's canonical optimal schedule."""
-    schedule = opt_schedule(prediction)
-    return ChoiceSequence(tuple(j.id if j is not None else None for j in schedule.slots))
+    return tuple(j.id if j is not None else None for j in opt_schedule(prediction).slots)
 
 
-def apply_choices(choices: ChoiceSequence, realization: Instance) -> Schedule:
-    """Replay the choices on the realization, dummying out misses.
+def apply_choices(
+    choices: tuple[Optional[str], ...], realization: Instance
+) -> Schedule:
+    """Replay the choices on the realization's slots, dummying out misses.
 
     A slot's choice is honored only when the realized job with that id
     exists, has not been placed yet, and is feasible right there; no
     rescue rescheduling is attempted (that is the fallback policy's job).
+    The schedule spans the realization's horizon: choices past it are
+    dropped, since no realized job is feasible there.
     """
-    horizon = max(len(choices.choices) - 1, realization.horizon)
     placed: set[str] = set()
     slots: list[Optional[Job]] = []
-    for t in range(horizon + 1):
-        cid = choices.choices[t] if t < len(choices.choices) else None
+    for t in range(realization.horizon + 1):
+        cid = choices[t] if t < len(choices) else None
         job = realization.by_id.get(cid) if cid is not None else None
         if job is not None and job.id not in placed and feasible_at(job, t):
             placed.add(job.id)
@@ -57,19 +51,17 @@ def apply_choices(choices: ChoiceSequence, realization: Instance) -> Schedule:
 def prediction_error(realization: Instance, prediction: Instance) -> float:
     """Worst prefix ratio of the realization's optimum to the followed choices.
 
-    For each slot t, the numerator is the prefix-optimum weight over jobs
-    released by t and the denominator is the weight collected through t by
-    replaying the prediction's optimal choices. Returns infinity when some
-    positive numerator meets a zero denominator, and 1 when every
-    numerator is zero.
+    For each slot t of the realization's horizon, the numerator is the
+    prefix-optimum weight over jobs released by t and the denominator is
+    the weight collected through t by replaying the prediction's optimal
+    choices. Returns infinity when some positive numerator meets a zero
+    denominator, and 1 when every numerator is zero.
     """
-    real = realization.with_horizon(prediction.horizon)
-    series = prefix_opt_series(real).values
-    followed = apply_choices(build_choices(prediction), real)
+    series = prefix_opt_series(realization)
+    followed = apply_choices(build_choices(prediction), realization)
     collected: list[float] = []
     ratios: list[float] = []
-    for t in range(real.horizon + 1):
-        job = followed.slots[t]
+    for t, job in enumerate(followed.slots):
         if job is not None:
             collected.append(job.weight)
         numerator = series[t]

@@ -67,8 +67,8 @@ MASTER_SEED = 20240801
 class PooledRatio(NamedTuple):
     """One evaluated local test seen by criteria 3-5.
 
-    ``real`` is the realization aligned to the run's horizon, as lap_run
-    aligns it, so ``prefix_opt_series(real).values[t]`` is the numerator.
+    ``real`` is the run's realization, so ``prefix_opt_series(real)[t]``
+    is the numerator.
     """
 
     ratio: float
@@ -83,11 +83,10 @@ def _verdict(num, name, ok, detail=""):
     return ok
 
 
-def _collect(pool, trace, prediction, realization, label):
-    real = realization.with_horizon(prediction.horizon)
+def _collect(pool, trace, realization, label):
     for row in trace.rows:
         if row.local_ratio is not None and not math.isinf(row.local_ratio):
-            pool.append(PooledRatio(row.local_ratio, row.t, real, label))
+            pool.append(PooledRatio(row.local_ratio, row.t, realization, label))
 
 
 def _fixtures():
@@ -136,7 +135,7 @@ def _one_consistency(pool):
         for rho in (1.0, 1.1, 2.0):
             for policy in policies:
                 sched, trace = lap_run(inst, inst, rho, policy)
-                _collect(pool, trace, inst, inst, f"consistency i={i} rho={rho}")
+                _collect(pool, trace, inst, f"consistency i={i} rho={rho}")
                 if schedule_weight(sched) != target:
                     failures.append((i, rho, policy.name, "weight"))
                 if any(
@@ -176,7 +175,7 @@ def _smoothness(pool):
         sched, trace = lap_run(pred, real, rho, GREEDY)
         if any(r.source == ONLINE and r.local_ratio is not None for r in trace.rows):
             continue  # a failed local test takes the pair outside this regime
-        _collect(pool, trace, pred, real, f"smoothness i={i}")
+        _collect(pool, trace, real, f"smoothness i={i}")
         checked += 1
         if brute_force_opt(real)[0] > eta * schedule_weight(sched) + 1e-9:
             failures.append((i, eta))
@@ -195,7 +194,7 @@ def _robustness(pool):
             continue
         for policy, cap in ((GREEDY, 1.1 + 2.0 + 1.0), (MG, 1.1 + PHI + 1.0)):
             sched, trace = lap_run(pred, real, 1.1, policy)
-            _collect(pool, trace, pred, real, f"robustness i={i} {policy.name}")
+            _collect(pool, trace, real, f"robustness i={i} {policy.name}")
             got = schedule_weight(sched)
             ratio = math.inf if got == 0.0 else opt / got
             if ratio > cap + 1e-9:
@@ -254,7 +253,7 @@ def _ratio_floor(real, t):
         if j.release <= t
     )
     capacity = schedule_weight(opt_schedule(Instance(clipped, t + 1)))
-    return prefix_opt_series(real).values[t] / capacity
+    return prefix_opt_series(real)[t] / capacity
 
 
 def test_06_local_ratio_floor(lap_gate_runs):
@@ -284,7 +283,7 @@ def test_lap_ratio_floor_counterexample():
     # tight light job to keep both early jobs, while the full-horizon
     # optimum drops it for the late heavy arrival and front-loads weight 5.
     inst = mk([("a", 0, 2, 5.0), ("b", 0, 1, 1.0), ("z", 1, 2, 100.0)])
-    assert prefix_opt_series(inst).values == (1.0, 105.0, 105.0)
+    assert prefix_opt_series(inst) == (1.0, 105.0, 105.0)
     sched, trace = lap_run(inst, inst, 1.0, GREEDY)
     assert schedule_weight(sched) == brute_force_opt(inst)[0]  # still optimal
     assert trace.rows[0].local_ratio == 1.0 / 5.0
@@ -297,7 +296,7 @@ def test_07_prefix_dominance():
     failures = []
     for i in range(500):
         inst = random_instance(rng, max_jobs=8, max_horizon=8)
-        values = prefix_opt_series(inst).values
+        values = prefix_opt_series(inst)
         full = opt_schedule(inst)
         for t in range(inst.horizon + 1):
             if schedule_weight(full, upto=t) < values[t]:

@@ -210,9 +210,43 @@ def test_csv_roundtrip(tmp_path, j2):
         assert path.read_bytes() == path2.read_bytes()
 
 
+# Ids a CSV reader could drop or alter: comment markers, blank and
+# padded ids, quotes, delimiters and line breaks.
+ODD_IDS = ("#x", " x", "x ", "", " ", "x\ny", 'q"', "c,d", "# horizon=3")
+
+
+def test_csv_roundtrip_property_with_odd_ids(tmp_path):
+    rng = random.Random(233)
+    path = tmp_path / "inst.csv"
+    for _ in range(80):
+        inst = random_instance(rng, min_jobs=1)
+        odd = rng.sample(ODD_IDS, rng.randint(1, min(4, len(inst.jobs))))
+        jobs = [
+            Job(i, j.release, j.deadline, j.weight) for i, j in zip(odd, inst.jobs)
+        ] + list(inst.jobs[len(odd):])
+        inst = Instance.of(jobs, inst.horizon + rng.randint(0, 2))
+        write_instance_csv(inst, path)
+        assert read_instance_csv(path) == inst
+
+
+def test_csv_comments_only_above_the_header(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text(
+        "# note\n\n# horizon=6\nid,release,deadline,weight\n \n"
+        "#a,0,1,1.0\n\t\nb,0,2,2.0\n",
+        encoding="utf-8",
+    )
+    expected = mk([("#a", 0, 1, 1.0), ("b", 0, 2, 2.0)], horizon=6)
+    assert read_instance_csv(path) == expected
+    path.write_text("id,release,deadline,weight\n# horizon=6\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="expected 4 fields") as exc:
+        read_instance_csv(path)
+    assert exc.value.line_no == 2
+
+
 def test_csv_horizon_comment(tmp_path, j2):
     path = tmp_path / "inst.csv"
-    write_instance_csv(j2.with_horizon(10), path)
+    write_instance_csv(Instance(j2.jobs, 10), path)
     assert read_instance_csv(path).horizon == 10
 
 

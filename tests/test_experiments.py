@@ -402,6 +402,9 @@ def test_config_validation():
         _tiny_config(algorithms=("lap", "gredy"))
     with pytest.raises(ValueError, match="unknown policy 'gredy'"):
         _tiny_config(algorithms=("greedy",), fallback="gredy")
+    for roster in (("lap", "lap"), ("mg", "lap", "greedy", "mg")):
+        with pytest.raises(ValueError, match="algorithms names '.*' more than once"):
+            _tiny_config(algorithms=roster)
     for rho_excess in (-0.1, math.nan):
         with pytest.raises(ValueError, match="rho_excess must be >= 0"):
             _tiny_config(rho_excess=rho_excess)

@@ -11,7 +11,7 @@ from pktsched import (
     Instance,
     InvalidThreshold,
     OnlineStepPolicy,
-    PrefixOptSeries,
+    blind_follow,
     brute_force_opt,
     lap_run,
     local_test,
@@ -34,7 +34,7 @@ from reference import processed_ids
 
 
 def test_local_test_conventions():
-    series = PrefixOptSeries((0.0, 2.0))
+    series = (0.0, 2.0)
     assert local_test(series, [1.0], 1.0, 1, 1.0) == (True, 1.0)
     assert local_test(series, [], 0.0, 0, 1.0) == (True, 1.0)
     passed, ratio = local_test(series, [], 0.0, 1, 1.5)
@@ -78,6 +78,18 @@ def test_lap_empty_prediction_falls_back(j2):
     assert sched == run_online(GREEDY, j2)
     assert schedule_weight(sched) == 1.999
     assert all(row.source == ONLINE and row.local_ratio is None for row in trace.rows)
+
+
+def test_runs_span_the_realizations_horizon(j2):
+    # A prediction reaching past the realization's horizon adds no slots:
+    # no realized job is feasible there.
+    pred = mk([("b", 0, 2, 1.0), ("c", 1, 2, 0.999), ("z", 3, 6, 2.0)], horizon=8)
+    sched, trace = lap_run(pred, j2, 1.1, GREEDY)
+    assert len(sched.slots) == len(trace.rows) == j2.horizon + 1
+    assert schedule_weight(sched) == 1.999
+    followed = blind_follow(pred, j2)
+    assert len(followed.slots) == j2.horizon + 1
+    assert schedule_weight(followed) == 1.999
 
 
 def test_lap_switches_back_and_forth():

@@ -65,19 +65,19 @@ def test_opt_schedule_always_valid():
 
 
 def test_prefix_series_examples(j2):
-    assert prefix_opt_series(j2).values == (0.01, 1.999, 1.999)
+    assert prefix_opt_series(j2) == (0.01, 1.999, 1.999)
 
     single = mk([("x", 0, 3, 7.0)])
-    assert prefix_opt_series(single).values == (7.0, 7.0, 7.0, 7.0)
+    assert prefix_opt_series(single) == (7.0, 7.0, 7.0, 7.0)
 
-    assert prefix_opt_series(Instance.of([])).values == (0.0,)
+    assert prefix_opt_series(Instance.of([])) == (0.0,)
 
 
 def test_prefix_series_monotone_and_bounded():
     rng = random.Random(107)
     for _ in range(60):
         inst = random_instance(rng)
-        values = prefix_opt_series(inst).values
+        values = prefix_opt_series(inst)
         total = schedule_weight(opt_schedule(inst))
         assert len(values) == inst.horizon + 1
         for t, v in enumerate(values):
@@ -97,7 +97,7 @@ def test_prefix_series_matches_per_t_recompute():
     rng = random.Random(109)
     for _ in range(40):
         inst = random_instance(rng)
-        values = prefix_opt_series(inst).values
+        values = prefix_opt_series(inst)
         for t in range(inst.horizon + 1):
             prefix = release_prefix(inst, t)
             assert values[t] == schedule_weight(opt_schedule(prefix), upto=t)
@@ -117,7 +117,7 @@ def test_prefix_series_matches_per_t_recompute():
     ]
     assert all(len(opt_schedule(i).job_ids()) < len(i.jobs) for i in overloaded)
     for inst in tied + overloaded:
-        values = prefix_opt_series(inst).values
+        values = prefix_opt_series(inst)
         for t in range(inst.horizon + 1):
             prefix = release_prefix(inst, t)
             assert values[t] == schedule_weight(opt_schedule(prefix), upto=t)
@@ -168,7 +168,7 @@ def _series_fuzz_instances(rng):
 def test_prefix_series_fuzz_matches_per_prefix_resolve():
     rng = random.Random(127)
     for inst in _series_fuzz_instances(rng):
-        assert prefix_opt_series(inst).values == _series_by_resolve(inst)
+        assert prefix_opt_series(inst) == _series_by_resolve(inst)
 
 
 def test_insert_rejects_inside_last_closed_interval_without_search(monkeypatch):
@@ -179,9 +179,9 @@ def test_insert_rejects_inside_last_closed_interval_without_search(monkeypatch):
     searched = []
     search = _SlotMatching._search
 
-    def counted(self, job, skip_full):
+    def counted(self, job):
         searched.append(job.id)
-        return search(self, job, skip_full)
+        return search(self, job)
 
     monkeypatch.setattr(_SlotMatching, "_search", counted)
     matching = _SlotMatching()
@@ -225,7 +225,7 @@ def test_insert_in_any_order_selects_the_optimum():
 )
 def test_prefix_series_replays_after_evicting_a_placed_job(rows, expected):
     inst = mk(rows)
-    assert prefix_opt_series(inst).values == expected
+    assert prefix_opt_series(inst) == expected
     for t, value in enumerate(expected):
         assert value == schedule_weight(opt_schedule(release_prefix(inst, t)), upto=t)
 
@@ -235,7 +235,7 @@ def test_prefix_dominance_of_full_optimum():
     rng = random.Random(113)
     for _ in range(60):
         inst = random_instance(rng)
-        values = prefix_opt_series(inst).values
+        values = prefix_opt_series(inst)
         full = opt_schedule(inst)
         for t in range(inst.horizon + 1):
             assert schedule_weight(full, upto=t) >= values[t]
@@ -253,7 +253,7 @@ def test_long_augmenting_chain():
     jobs = [Job(f"c{i}", i, i + 2, 2 - i / n) for i in range(n)]
     inst = Instance.of(jobs + [Job("z", 0, 1, 1e-3)])
     assert schedule_weight(opt_schedule(inst)) == 4502.001
-    assert prefix_opt_series(inst).values[-1] == 4502.001
+    assert prefix_opt_series(inst)[-1] == 4502.001
 
 
 def _matroid_greedy_ids(instance):
@@ -279,4 +279,4 @@ def test_opt_matches_matroid_greedy_on_overloaded_wide_windows():
         assert len(inst.jobs) >= 250
         assert len(opt.job_ids()) < len(inst.jobs) / 4
         assert opt.job_ids() == _matroid_greedy_ids(inst)
-        assert prefix_opt_series(inst).values[-1] == schedule_weight(opt)
+        assert prefix_opt_series(inst)[-1] == schedule_weight(opt)

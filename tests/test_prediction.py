@@ -2,7 +2,6 @@ import math
 import random
 
 from pktsched import (
-    ChoiceSequence,
     Instance,
     apply_choices,
     blind_follow,
@@ -17,10 +16,10 @@ from conftest import mk, random_instance
 
 
 def test_build_choices_examples(j1):
-    assert build_choices(j1).choices == ("a", "b", None)
-    assert build_choices(Instance.of([])).choices == (None,)
+    assert build_choices(j1) == ("a", "b", None)
+    assert build_choices(Instance.of([])) == (None,)
     late = mk([("x", 2, 4, 5.0)])
-    assert build_choices(late).choices == (None, None, "x", None, None)
+    assert build_choices(late) == (None, None, "x", None, None)
 
 
 def test_apply_choices_examples(j1, j2):
@@ -33,7 +32,7 @@ def test_apply_choices_examples(j1, j2):
     assert [j.id if j else None for j in onto_j2.slots] == ["a", "b", None]
     assert schedule_weight(onto_j2) == 1.01
 
-    missing = apply_choices(ChoiceSequence(("ghost", None)), j1)
+    missing = apply_choices(("ghost", None), j1)
     assert missing.slots[0] is None
 
 
