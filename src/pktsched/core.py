@@ -206,7 +206,11 @@ def write_instance_csv(instance: Instance, path: Path | str) -> None:
     """Write the instance file: optional horizon comment, then job rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# horizon={instance.horizon}\n")
-        writer = csv.writer(fh, lineterminator="\n")
+        # With a "\n" line terminator csv quotes no field for a lone "\r",
+        # which the reader takes as a line end: quote every field then.
+        lone_cr = "\r" in "".join(map(attrgetter("id"), instance.jobs))
+        quoting = csv.QUOTE_ALL if lone_cr else csv.QUOTE_MINIMAL
+        writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
         writer.writerow(CSV_HEADER)
         for j in instance.jobs:
             writer.writerow([j.id, j.release, j.deadline, repr(j.weight)])

@@ -113,14 +113,14 @@ def lap_run(
     slots: list[Optional[Job]] = []
     rows: list[LapSlot] = []
     for t in range(realization.horizon + 1):
-        pending = buffer.at(t)
+        buffer.at(t)
         cid = choices[t] if t < len(choices) else None
         predicted = realization.by_id.get(cid) if cid is not None else None
         ratio: Optional[float] = None
         chosen: Optional[Job] = None
         source = ONLINE
         # Pending means released, unprocessed and feasible at t.
-        if predicted is not None and predicted in pending:
+        if predicted is not None and predicted in buffer.jobs:
             passed, ratio = local_test(
                 series, processed_weights, predicted.weight, t, rho
             )
@@ -128,7 +128,7 @@ def lap_run(
                 chosen = predicted
                 source = PREDICTION
         if chosen is None:
-            pick = policy.step(pending)
+            pick = policy.step(buffer)
             chosen = realization.by_id[pick] if pick is not None else None
         if chosen is not None:
             buffer.remove(chosen)

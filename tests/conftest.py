@@ -37,6 +37,29 @@ def random_instance(rng, max_jobs=8, max_horizon=8, min_jobs=0, weights=None):
     return Instance.of(jobs)
 
 
+def edge_shape_instances(rng, rounds=40):
+    """Edge shapes for the random checks: the empty instance (horizon 0),
+    an empty one with horizon 5, then per round one instance each with
+    all-zero weights, all-identical jobs (distinct ids), one deadline for
+    every job, and TIED_WEIGHTS."""
+    # Horizon 0 admits no job: every deadline is at least 1.
+    yield Instance.of([])
+    yield Instance.of([], horizon=5)
+    for _ in range(rounds):
+        yield random_instance(rng, max_jobs=10, max_horizon=8, weights=(0.0,))
+        release = rng.randint(0, 4)
+        deadline = rng.randint(release + 1, 8)
+        weight = rng.choice(TIED_WEIGHTS + (rng.random(),))
+        yield mk([(f"j{i}", release, deadline, weight) for i in range(rng.randint(1, 9))])
+        yield mk(
+            [
+                (f"j{i}", rng.randrange(deadline), deadline, rng.choice(TIED_WEIGHTS))
+                for i in range(rng.randint(1, 12))
+            ]
+        )
+        yield random_instance(rng, max_jobs=20, max_horizon=10, weights=TIED_WEIGHTS)
+
+
 def random_agreeable(rng, max_window=6, lo=1, hi=2, max_slack=5):
     spec = GeneratorSpec(
         "uniform",

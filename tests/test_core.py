@@ -212,7 +212,7 @@ def test_csv_roundtrip(tmp_path, j2):
 
 # Ids a CSV reader could drop or alter: comment markers, blank and
 # padded ids, quotes, delimiters and line breaks.
-ODD_IDS = ("#x", " x", "x ", "", " ", "x\ny", 'q"', "c,d", "# horizon=3")
+ODD_IDS = ("#x", " x", "x ", "", " ", "x\ny", 'q"', "c,d", "# horizon=3", "\r", "a\rb")
 
 
 def test_csv_roundtrip_property_with_odd_ids(tmp_path):

@@ -18,7 +18,7 @@ from pktsched import (
 )
 from pktsched.core import heavier_first
 from pktsched.offline import _SlotMatching
-from conftest import TIED_WEIGHTS, mk, random_instance
+from conftest import TIED_WEIGHTS, edge_shape_instances, mk, random_instance
 from reference import release_prefix
 
 
@@ -134,22 +134,7 @@ def _series_by_resolve(inst):
 def _series_fuzz_instances(rng):
     for _ in range(150):
         yield random_instance(rng, max_jobs=14, max_horizon=10)
-        yield random_instance(rng, max_jobs=20, max_horizon=10, weights=TIED_WEIGHTS)
-        yield random_instance(rng, max_jobs=10, max_horizon=8, weights=(0.0,))
-    # Horizon 0 admits no job: every deadline is at least 1.
-    yield Instance.of([])
-    yield Instance.of([], horizon=5)
-    for _ in range(40):
-        release = rng.randint(0, 4)
-        deadline = rng.randint(release + 1, 8)
-        weight = rng.choice(TIED_WEIGHTS + (rng.random(),))
-        yield mk([(f"j{i}", release, deadline, weight) for i in range(rng.randint(1, 9))])
-        yield mk(
-            [
-                (f"j{i}", rng.randrange(deadline), deadline, rng.choice(TIED_WEIGHTS))
-                for i in range(rng.randint(1, 12))
-            ]
-        )
+    yield from edge_shape_instances(rng, rounds=150)
     # Overloaded power-law bursts with wide windows: most newcomers are
     # rejected, many inside the interval the previous failed search closed.
     for seed in range(6):

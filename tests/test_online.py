@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 
@@ -7,13 +8,16 @@ from pktsched import (
     GREEDY,
     MG,
     PHI,
+    GeneratorSpec,
     Instance,
     Job,
     OnlineStepPolicy,
     brute_force_opt,
     edf_alpha_step,
     edf_step,
+    generate,
     greedy_step,
+    lap_run,
     mg_step,
     pending_set,
     run_online,
@@ -21,40 +25,53 @@ from pktsched import (
     validate_schedule,
 )
 from pktsched.online import Buffer
-from conftest import TIED_WEIGHTS, mk, random_agreeable, random_instance
+from conftest import (
+    TIED_WEIGHTS,
+    adversarial_prediction,
+    edge_shape_instances,
+    mk,
+    random_agreeable,
+    random_instance,
+)
+import reference
 from reference import dominates
 
 
 def _buffer(rows):
-    return set(mk(rows, horizon=99).jobs)
+    return Buffer(mk(rows, horizon=99)).at(0)
+
+
+def _released_at_0(inst):
+    # The instance's jobs, all released at slot 0, as a slot-0 buffer.
+    jobs = [Job(j.id, 0, j.deadline, j.weight) for j in inst.jobs]
+    return Buffer(Instance.of(jobs)).at(0)
 
 
 def test_greedy_step():
     assert greedy_step(_buffer([("x", 0, 1, 2.0), ("y", 0, 2, 3.0)])) == "y"
-    assert greedy_step(set()) is None
+    assert greedy_step(_buffer([])) is None
     assert greedy_step(_buffer([("a", 0, 1, 0.01), ("b", 0, 2, 1.0)])) == "b"
 
 
 def test_edf_step():
     assert edf_step(_buffer([("x", 0, 1, 0.1), ("y", 0, 5, 9.0)])) == "x"
     assert edf_step(_buffer([("x", 0, 2, 1.0), ("y", 0, 2, 3.0)])) == "y"
-    assert edf_step(set()) is None
+    assert edf_step(_buffer([])) is None
 
 
 def test_edf_alpha_step():
     assert edf_alpha_step(_buffer([("x", 0, 3, 10.0), ("y", 0, 1, 4.0)]), 0.5) == "x"
     assert edf_alpha_step(_buffer([("x", 0, 3, 10.0), ("y", 0, 1, 6.0)]), 0.5) == "y"
     with pytest.raises(ValueError):
-        edf_alpha_step(set(), 0.0)
+        edf_alpha_step(_buffer([]), 0.0)
     with pytest.raises(ValueError):
-        edf_alpha_step(set(), 1.5)
+        edf_alpha_step(_buffer([]), 1.5)
 
 
 def test_edf_alpha_one_is_greedy():
     rng = random.Random(31)
     for _ in range(100):
-        buffer = set(random_instance(rng, min_jobs=1, max_jobs=6).jobs)
-        buffer = {Job(j.id, 0, j.deadline, j.weight) for j in buffer}
+        buffer = _released_at_0(random_instance(rng, min_jobs=1, max_jobs=6))
         assert edf_alpha_step(buffer, 1.0) == greedy_step(buffer)
 
 
@@ -63,16 +80,15 @@ def test_mg_step_threshold_rule():
     assert mg_step(_buffer([("e", 0, 1, 1.0), ("h", 0, 5, 1.5)])) == "e"
     assert mg_step(_buffer([("e", 0, 1, 0.5), ("h", 0, 5, 1.5)])) == "h"
     assert mg_step(_buffer([("only", 0, 4, 2.0)])) == "only"
-    assert mg_step(set()) is None
+    assert mg_step(_buffer([])) is None
 
 
 def test_mg_never_picks_dominated():
     rng = random.Random(37)
     for _ in range(100):
-        inst = random_instance(rng, min_jobs=1, max_jobs=7)
-        buffer = {Job(j.id, 0, j.deadline, j.weight) for j in inst.jobs}
-        pick = next(j for j in buffer if j.id == mg_step(buffer))
-        assert not any(dominates(other, pick) for other in buffer)
+        buffer = _released_at_0(random_instance(rng, min_jobs=1, max_jobs=7))
+        pick = next(j for j in buffer.jobs if j.id == mg_step(buffer))
+        assert not any(dominates(other, pick) for other in buffer.jobs)
 
 
 def _mg_by_dominance_filter(buffer):
@@ -87,22 +103,22 @@ def test_mg_step_matches_dominance_filter_rule():
     # Few distinct deadlines and weights, so ties in both are common.
     rng = random.Random(43)
     for _ in range(2000):
-        buffer = {
+        jobs = [
             Job(f"j{i}", 0, rng.randint(1, 4), rng.choice([0.3, 0.5, 0.62, 0.8, 1.0]))
             for i in range(rng.randint(1, 12))
-        }
-        assert mg_step(buffer) == _mg_by_dominance_filter(buffer)
+        ]
+        buffer = Buffer(Instance.of(jobs)).at(0)
+        assert mg_step(buffer) == _mg_by_dominance_filter(buffer.jobs)
 
 
 def test_steps_pick_buffer_members():
     rng = random.Random(41)
     for _ in range(50):
-        inst = random_instance(rng, min_jobs=1, max_jobs=6)
-        buffer = {Job(j.id, 0, j.deadline, j.weight) for j in inst.jobs}
-        ids = {j.id for j in buffer}
+        buffer = _released_at_0(random_instance(rng, min_jobs=1, max_jobs=6))
+        ids = {j.id for j in buffer.jobs}
         for policy in (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)):
             assert policy.step(buffer) in ids
-            assert policy.step(set()) is None
+            assert policy.step(_buffer([])) is None
 
 
 def test_buffer_matches_pending_set():
@@ -111,23 +127,84 @@ def test_buffer_matches_pending_set():
     # prediction, some other pending job.
     rng = random.Random(53)
     policies = (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5))
-    for k in range(400):
-        weights = TIED_WEIGHTS if k % 2 else None
-        inst = random_instance(rng, max_jobs=12, max_horizon=10, weights=weights)
+    randoms = (
+        random_instance(rng, max_jobs=12, max_horizon=10, weights=TIED_WEIGHTS if k % 2 else None)
+        for k in range(400)
+    )
+    for k, inst in enumerate(chain(randoms, edge_shape_instances(rng))):
         policy = policies[k % len(policies)]
         buffer = Buffer(inst)
         processed = set()
         for t in range(inst.horizon + 1):
-            pending = buffer.at(t)
+            pending = buffer.at(t).jobs
             assert pending == pending_set(inst, processed, t)
             if not pending:
                 continue
             if rng.random() < 0.5:
-                job = inst.by_id[policy.step(pending)]
+                job = inst.by_id[policy.step(buffer)]
             else:
                 job = rng.choice(sorted(pending, key=lambda j: j.id))
             buffer.remove(job)
             processed.add(job.id)
+
+
+def _differential_instances(rng):
+    for k in range(300):
+        weights = TIED_WEIGHTS if k % 2 else None
+        yield random_instance(rng, max_jobs=14, max_horizon=10, weights=weights)
+    # Overloaded power-law bursts: buffers of dozens of jobs, most of which
+    # expire unrun, so stale heap tops are common.
+    for seed in range(6):
+        yield generate(
+            GeneratorSpec("powerlaw", horizon=20, a=30, m=100, max_slack=12, seed=seed)
+        )
+    yield from edge_shape_instances(rng)
+
+
+def test_indexed_rules_match_set_scan():
+    # Slot by slot, the heap-indexed rules pick what a scan of the buffer
+    # picks. Each slot runs either that pick or, as LAP does when it
+    # follows the prediction, an arbitrary pending job.
+    rng = random.Random(59)
+    rules = (
+        (greedy_step, reference.greedy_step),
+        (edf_step, reference.edf_step),
+        (mg_step, reference.mg_step),
+    )
+    for inst in _differential_instances(rng):
+        buffer = Buffer(inst)
+        for t in range(inst.horizon + 1):
+            jobs = buffer.at(t).jobs
+            picks = [rule(buffer) for rule, _ in rules]
+            assert picks == [oracle(jobs) for _, oracle in rules]
+            if not jobs:
+                continue
+            if rng.random() < 0.5:
+                job = inst.by_id[rng.choice(picks)]
+            else:
+                job = rng.choice(sorted(jobs, key=lambda j: j.id))
+            buffer.remove(job)
+
+
+@pytest.mark.parametrize("fallback", [GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)])
+def test_lap_trace_unchanged_under_set_scan_rules(monkeypatch, fallback):
+    # LAP leaves the buffer unread at the slots where it follows the
+    # prediction, so the heaps are fed late and skip jobs run or expired
+    # meanwhile. _STEPS looks the rules up at call time, so the patch
+    # reaches the fallback.
+    import pktsched.online as online
+
+    rng = random.Random(61)
+    cases = []
+    for k, inst in enumerate(_differential_instances(rng)):
+        kind = ("empty", "reversed", "shifted")[k % 3]
+        prediction = inst if k % 4 == 0 else adversarial_prediction(inst, kind, seed=k)
+        cases.append((prediction, inst, rng.choice((1.0, 1.2, 2.0))))
+    indexed = [lap_run(pred, real, rho, fallback) for pred, real, rho in cases]
+    for name in ("greedy_step", "edf_step", "mg_step"):
+        oracle = getattr(reference, name)
+        monkeypatch.setattr(online, name, lambda buffer, oracle=oracle: oracle(buffer.jobs))
+    assert [lap_run(pred, real, rho, fallback) for pred, real, rho in cases] == indexed
 
 
 def test_run_online_examples(j2):
