@@ -125,13 +125,33 @@ class Schedule:
         return {j.id for j in self.slots if j is not None}
 
 
-def schedule_weight(schedule: Schedule, upto: Optional[int] = None) -> float:
-    """Total weight of the slots [0, upto] (whole schedule when omitted)."""
-    if upto is None:
-        upto = schedule.horizon
-    elif not 0 <= upto <= schedule.horizon:
-        raise ValueError(f"upto={upto} outside [0, {schedule.horizon}]")
-    return math.fsum(j.weight for j in schedule.slots[: upto + 1] if j is not None)
+def schedule_weight(schedule: Schedule) -> float:
+    """Total weight of the schedule's jobs."""
+    return math.fsum(j.weight for j in schedule.slots if j is not None)
+
+
+# A running list of weights is folded by exact_terms once it is longer than
+# this, so each read sums a bounded list instead of every weight so far.
+_FOLD = 64
+
+
+def exact_terms(values: Iterable[float]) -> list[float]:
+    """A few floats whose exact sum is the exact sum of the finite values.
+
+    e1 = fsum(values), e2 = fsum(values + [-e1]), and so on up to the
+    first remainder of 0.0. Every finite double is a multiple of 2**-1074,
+    so a nonzero remainder never rounds to 0, and each step leaves less
+    than half an ulp of the last term: the list ends after a few terms
+    (one or two for sums of weights in (0, 1]). ``math.fsum`` rounds the
+    exact sum correctly, so fsum(exact_terms(xs) + ys) == fsum(xs + ys).
+    Raises OverflowError where ``math.fsum(values)`` does.
+    """
+    rest = list(values)
+    terms: list[float] = []
+    while (term := math.fsum(rest)) != 0.0:
+        terms.append(term)
+        rest.append(-term)
+    return terms
 
 
 def pending_set(instance: Instance, processed: set[str], t: int) -> set[Job]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import Instance, Job, Schedule
+from .core import _FOLD, Instance, Job, Schedule, exact_terms
 from .offline import prefix_opt_series
 from .online import Buffer, OnlineStepPolicy
 from .prediction import build_choices
@@ -104,6 +104,8 @@ def lap_run(
     optimum of the realization is shared (cached) across runs on the same
     realization. The schedule and trace span the realization's horizon:
     no realized job is feasible after it, whatever the prediction's.
+    Past 64 processed weights the list is folded by ``exact_terms`` before
+    a local test reads it; its exact sum, hence every ratio, is unchanged.
     """
     check_threshold(rho)
     choices = build_choices(prediction)
@@ -121,6 +123,8 @@ def lap_run(
         source = ONLINE
         # Pending means released, unprocessed and feasible at t.
         if predicted is not None and predicted in buffer.jobs:
+            if len(processed_weights) > _FOLD:
+                processed_weights[:] = exact_terms(processed_weights)
             passed, ratio = local_test(
                 series, processed_weights, predicted.weight, t, rho
             )

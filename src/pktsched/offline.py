@@ -30,11 +30,13 @@ from operator import attrgetter
 from typing import Optional
 
 from .core import (
+    _FOLD,
     Instance,
     Job,
     Schedule,
     canonicalize,
     edf_first,
+    exact_terms,
     feasible_at,
     heavier_first,
     schedule_weight,
@@ -273,8 +275,11 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     cannot change slots before t, and an evicted job that EDF had placed
     at slot s < t leaves slots before s unchanged (EDF passed it over
     there), so only slots s..t are placed again. values[t] sums the
-    placed weights of slots 0..t, the same multiset
-    ``schedule_weight(canonicalize(...), upto=t)`` sums.
+    placed weights of slots 0..t, the multiset that slots 0..t of
+    ``canonicalize(...)`` hold. Each whole block of 64 placed weights is
+    folded by ``exact_terms`` into the block's mark, so a slot sums the
+    last mark and at most 64 weights past it: the same exact sum, rounded
+    once. Placing slots again from s drops the marks of blocks past s.
     """
     by_release: dict[int, list[Job]] = defaultdict(list)
     for job in instance.jobs:
@@ -284,6 +289,8 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     placed: list[Optional[Job]] = []
     placed_at: dict[str, int] = {}
     weights: list[float] = []
+    # marks[k] = exact_terms(weights[:_FOLD * k]).
+    marks: list[list[float]] = [[]]
     waiting: list[tuple[int, float, str]] = []
     values: list[float] = []
     for t in range(instance.horizon + 1):
@@ -301,7 +308,7 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
             undone = [j for j in placed[start:] if j is not None]
             for j in undone:
                 del placed_at[j.id]
-            del placed[start:], weights[start:]
+            del placed[start:], weights[start:], marks[start // _FOLD + 1 :]
             undone += [instance.by_id[key[2]] for key in waiting]
             replay = sorted(
                 (j for j in undone if j.id in selected), key=attrgetter("release")
@@ -319,5 +326,8 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
             if job is not None:
                 placed_at[job.id] = s
             weights.append(0.0 if job is None else job.weight)
-        values.append(math.fsum(weights))
+        while len(weights) > _FOLD * len(marks):
+            base = _FOLD * (len(marks) - 1)
+            marks.append(exact_terms(marks[-1] + weights[base : base + _FOLD]))
+        values.append(math.fsum(marks[-1] + weights[_FOLD * (len(marks) - 1) :]))
     return tuple(values)

@@ -37,6 +37,24 @@ def random_instance(rng, max_jobs=8, max_horizon=8, min_jobs=0, weights=None):
     return Instance.of(jobs)
 
 
+# Weights from the subnormal range to 3.3e15: a sum of these rarely fits
+# in one float, so an inexact running sum shows in the last bits.
+WIDE_WEIGHTS = (5e-324, 1e-300, 1e-9, 0.1, 1e6, 3.3e15)
+
+
+def long_instance(rng, horizon, max_window=10):
+    """About 1.5 jobs per slot with windows of up to max_window slots, so
+    the prefix optimum often evicts a job it has already placed. Weights
+    are WIDE_WEIGHTS, half of them scaled by a factor in [1, 2)."""
+    jobs = []
+    for i in range(rng.randint(horizon, 2 * horizon)):
+        r = rng.randrange(horizon)
+        d = rng.randint(r + 1, min(horizon, r + max_window))
+        w = rng.choice(WIDE_WEIGHTS) * rng.choice((1.0, 1.0 + rng.random()))
+        jobs.append(Job(f"j{i:03d}", r, d, w))
+    return Instance.of(jobs, horizon)
+
+
 def edge_shape_instances(rng, rounds=40):
     """Edge shapes for the random checks: the empty instance (horizon 0),
     an empty one with horizon 5, then per round one instance each with

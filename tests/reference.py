@@ -1,9 +1,21 @@
 """Plain reference definitions that only the tests use."""
 
+import math
 from typing import Optional
 
-from pktsched import PHI, Instance, Job, LapTrace
-from pktsched.core import edf_first, heavier_first
+from pktsched import (
+    PHI,
+    Instance,
+    Job,
+    LapTrace,
+    Schedule,
+    apply_choices,
+    build_choices,
+    local_test,
+    opt_schedule,
+    prefix_opt_series,
+)
+from pktsched.core import edf_first, feasible_at, heavier_first
 
 
 def dominates(j: Job, j2: Job) -> bool:
@@ -21,6 +33,61 @@ def release_prefix(instance: Instance, t: int) -> Instance:
 def processed_ids(trace: LapTrace) -> set[str]:
     """Ids of the jobs a LAP run processed."""
     return {r.job_id for r in trace.rows if r.job_id is not None}
+
+
+def prefix_weight(schedule: Schedule, t: int) -> float:
+    """Total weight of the slots [0, t]."""
+    return math.fsum(j.weight for j in schedule.slots[: t + 1] if j is not None)
+
+
+def resolved_prefix_opt(instance: Instance, t: int) -> float:
+    """values[t] of the prefix-optimum series, re-solved from scratch on
+    the jobs released by t."""
+    return prefix_weight(opt_schedule(release_prefix(instance, t)), t)
+
+
+# Full-list sums: each slot sums every weight so far, which the package
+# folds into a few exact terms once the prefix is long.
+
+
+def prediction_error_by_full_sums(realization: Instance, prediction: Instance) -> float:
+    """The prediction error, each denominator one fsum of the whole
+    collected prefix of the replayed choices."""
+    series = prefix_opt_series(realization)
+    followed = apply_choices(build_choices(prediction), realization)
+    ratios = []
+    for t, numerator in enumerate(series):
+        if numerator == 0.0:
+            continue
+        denominator = prefix_weight(followed, t)
+        if denominator == 0.0:
+            return math.inf
+        ratios.append(numerator / denominator)
+    return max(ratios, default=1.0)
+
+
+def local_ratios_by_full_sums(
+    prediction: Instance, realization: Instance, trace: LapTrace
+) -> list[Optional[float]]:
+    """Each slot's local ratio, recomputed from the trace rows: the test
+    runs where the predicted job is pending, over every weight processed
+    before that slot (None where it does not run)."""
+    series = prefix_opt_series(realization)
+    choices = build_choices(prediction)
+    done: set[str] = set()
+    processed: list[float] = []
+    ratios: list[Optional[float]] = []
+    for row in trace.rows:
+        cid = choices[row.t] if row.t < len(choices) else None
+        job = realization.by_id.get(cid) if cid is not None else None
+        ratio = None
+        if job is not None and job.id not in done and feasible_at(job, row.t):
+            ratio = local_test(series, processed, job.weight, row.t, trace.rho)[1]
+        ratios.append(ratio)
+        if row.job_id is not None:
+            done.add(row.job_id)
+            processed.append(row.weight)
+    return ratios
 
 
 # Set-scan step rules: the oracle for online.Buffer's heap-indexed tops.

@@ -60,6 +60,7 @@ from conftest import (
     random_agreeable,
     random_instance,
 )
+from reference import prefix_weight
 
 MASTER_SEED = 20240801
 
@@ -299,7 +300,7 @@ def test_07_prefix_dominance():
         values = prefix_opt_series(inst)
         full = opt_schedule(inst)
         for t in range(inst.horizon + 1):
-            if schedule_weight(full, upto=t) < values[t]:
+            if prefix_weight(full, t) < values[t]:
                 failures.append((i, t))
     ok = not failures
     assert _verdict(7, "prefix-dominance", ok), failures[:5]

@@ -21,7 +21,7 @@ from pktsched import (
     write_instance_csv,
 )
 from conftest import mk, random_instance
-from reference import dominates
+from reference import dominates, prefix_weight
 
 
 def test_job_validation():
@@ -83,11 +83,10 @@ def test_partition_of_released():
 def test_schedule_weight_examples(j2):
     a, b = j2.by_id["a"], j2.by_id["b"]
     sched = Schedule((a, b, None))
-    assert schedule_weight(sched, upto=0) == 0.01
+    assert schedule_weight(sched) == 1.01
+    assert prefix_weight(sched, 0) == 0.01
     assert schedule_weight(Schedule((None,))) == 0.0
     assert schedule_weight(Schedule((None, b, None))) == 1.0
-    with pytest.raises(ValueError):
-        schedule_weight(sched, upto=5)
 
 
 def test_dominates_examples():

@@ -26,6 +26,7 @@ from pktsched.lap import ONLINE, PREDICTION, write_trace_csv
 from conftest import (
     TIED_WEIGHTS,
     adversarial_prediction,
+    edge_shape_instances,
     mk,
     random_agreeable,
     random_instance,
@@ -130,6 +131,22 @@ def test_trace_matches_schedule():
                 assert row.local_ratio is not None and row.local_ratio <= trace.rho
         ok, violations = validate_schedule(real, sched)
         assert ok, violations
+
+
+@pytest.mark.parametrize(
+    "fallback", [GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)], ids=lambda p: p.name
+)
+def test_lap_schedules_valid_on_edge_shapes(fallback):
+    rng = random.Random(57)
+    for inst in edge_shape_instances(rng):
+        predictions = [inst] + [
+            adversarial_prediction(inst, kind, rng.randrange(2**32))
+            for kind in ("empty", "reversed", "shifted")
+        ]
+        for pred in predictions:
+            sched, _ = lap_run(pred, inst, 1.1, fallback)
+            ok, violations = validate_schedule(inst, sched)
+            assert ok, violations
 
 
 def _assert_one_consistent(inst, optimum):

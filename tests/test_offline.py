@@ -17,9 +17,9 @@ from pktsched import (
     validate_schedule,
 )
 from pktsched.core import heavier_first
-from pktsched.offline import _SlotMatching
+from pktsched.offline import BRUTE_FORCE_MAX_HORIZON, BRUTE_FORCE_MAX_JOBS, _SlotMatching
 from conftest import TIED_WEIGHTS, edge_shape_instances, mk, random_instance
-from reference import release_prefix
+from reference import prefix_weight, release_prefix, resolved_prefix_opt
 
 
 def test_opt_schedule_examples(j2):
@@ -53,6 +53,20 @@ def test_oracle_equivalence():
     rng = random.Random(101)
     for _ in range(100):
         inst = random_instance(rng)
+        assert schedule_weight(opt_schedule(inst)) == brute_force_opt(inst)[0]
+
+
+def test_oracle_equivalence_on_edge_shapes():
+    # The tied shapes reach 20 jobs, past the oracle's guard.
+    rng = random.Random(137)
+    kept = [
+        inst
+        for inst in edge_shape_instances(rng)
+        if len(inst.jobs) <= BRUTE_FORCE_MAX_JOBS
+        and inst.horizon <= BRUTE_FORCE_MAX_HORIZON
+    ]
+    assert len(kept) == 139  # of 162
+    for inst in kept:
         assert schedule_weight(opt_schedule(inst)) == brute_force_opt(inst)[0]
 
 
@@ -100,8 +114,8 @@ def test_prefix_series_matches_per_t_recompute():
         values = prefix_opt_series(inst)
         for t in range(inst.horizon + 1):
             prefix = release_prefix(inst, t)
-            assert values[t] == schedule_weight(opt_schedule(prefix), upto=t)
-            assert values[t] == schedule_weight(brute_force_opt(prefix)[1], upto=t)
+            assert values[t] == prefix_weight(opt_schedule(prefix), t)
+            assert values[t] == prefix_weight(brute_force_opt(prefix)[1], t)
     tied = [
         random_instance(rng, max_jobs=16, max_horizon=10, weights=TIED_WEIGHTS)
         for _ in range(300)
@@ -119,16 +133,12 @@ def test_prefix_series_matches_per_t_recompute():
     for inst in tied + overloaded:
         values = prefix_opt_series(inst)
         for t in range(inst.horizon + 1):
-            prefix = release_prefix(inst, t)
-            assert values[t] == schedule_weight(opt_schedule(prefix), upto=t)
+            assert values[t] == resolved_prefix_opt(inst, t)
 
 
 def _series_by_resolve(inst):
     """values[t] re-solved from scratch on the jobs released by t."""
-    return tuple(
-        schedule_weight(opt_schedule(release_prefix(inst, t)), upto=t)
-        for t in range(inst.horizon + 1)
-    )
+    return tuple(resolved_prefix_opt(inst, t) for t in range(inst.horizon + 1))
 
 
 def _series_fuzz_instances(rng):
@@ -212,7 +222,7 @@ def test_prefix_series_replays_after_evicting_a_placed_job(rows, expected):
     inst = mk(rows)
     assert prefix_opt_series(inst) == expected
     for t, value in enumerate(expected):
-        assert value == schedule_weight(opt_schedule(release_prefix(inst, t)), upto=t)
+        assert value == resolved_prefix_opt(inst, t)
 
 
 def test_prefix_dominance_of_full_optimum():
@@ -223,7 +233,7 @@ def test_prefix_dominance_of_full_optimum():
         values = prefix_opt_series(inst)
         full = opt_schedule(inst)
         for t in range(inst.horizon + 1):
-            assert schedule_weight(full, upto=t) >= values[t]
+            assert prefix_weight(full, t) >= values[t]
 
 
 def test_prefix_series_cached(j2):
