@@ -7,7 +7,13 @@ import argparse
 import csv
 import sys
 
-from .core import Schedule, read_instance_csv, schedule_weight, write_instance_csv
+from .core import (
+    Instance,
+    Schedule,
+    read_instance_csv,
+    schedule_weight,
+    write_instance_csv,
+)
 from .experiments import (
     PREDICTION_ALGORITHMS,
     MissingPrediction,
@@ -35,8 +41,21 @@ def _print_schedule(schedule: Schedule, out=None) -> None:
         )
 
 
+def _read_instance(command: str, path: str) -> Instance:
+    """``read_instance_csv``, ending the command with a one-line message
+    (no traceback) when the file cannot be read or parsed."""
+    try:
+        return read_instance_csv(path)
+    except OSError as exc:
+        raise SystemExit(
+            f"pktsched {command}: cannot read {path}: {exc.strerror or exc}"
+        ) from None
+    except ValueError as exc:
+        raise SystemExit(f"pktsched {command}: {path}: {exc}") from None
+
+
 def _cmd_opt(args) -> int:
-    instance = read_instance_csv(args.instance)
+    instance = _read_instance("opt", args.instance)
     schedule = opt_schedule(instance)
     print(f"# optimal_weight={schedule_weight(schedule)!r}")
     _print_schedule(schedule)
@@ -44,8 +63,8 @@ def _cmd_opt(args) -> int:
 
 
 def _cmd_eta(args) -> int:
-    realization = read_instance_csv(args.real)
-    predicted = read_instance_csv(args.pred)
+    realization = _read_instance("eta", args.real)
+    predicted = _read_instance("eta", args.pred)
     print(repr(prediction_error(realization, predicted)))
     return 0
 
@@ -60,8 +79,8 @@ def _cmd_run(args) -> int:
         check_threshold(args.rho)
     except ValueError as exc:
         raise SystemExit(f"pktsched run: {exc}") from None
-    realization = read_instance_csv(args.real)
-    predicted = read_instance_csv(args.pred) if args.pred else None
+    realization = _read_instance("run", args.real)
+    predicted = _read_instance("run", args.pred) if args.pred else None
     try:
         schedule, trace = run_algorithm(
             args.algo, realization, predicted, args.rho, args.fallback

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import attrgetter
+from operator import attrgetter, eq, lt
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -74,18 +75,22 @@ def edf_first(job: Job) -> tuple[int, float, str]:
 class Instance:
     """A finite job collection plus the time horizon (slots 0..horizon).
 
-    Jobs are stored sorted by id; ids are unique. Weights may tie (see the
-    module docstring for how jobs are ordered). Build instances through
-    :meth:`of`, which fills in the default horizon (the largest deadline).
+    Jobs are stored in strictly increasing id order, so ids are unique and
+    a stable sort of ``jobs`` keeps id order on ties. Weights may tie (see
+    the module docstring for how jobs are ordered). Build instances through
+    :meth:`of`, which sorts the jobs and fills in the default horizon (the
+    largest deadline).
     """
 
     jobs: tuple[Job, ...]
     horizon: int
 
     def __post_init__(self):
-        ids = [j.id for j in self.jobs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate job ids in instance")
+        ids = list(map(attrgetter("id"), self.jobs))
+        if not all(map(lt, ids, ids[1:])):
+            if any(map(eq, ids, ids[1:])):
+                raise ValueError("duplicate job ids in instance")
+            raise ValueError("instance jobs not sorted by id (use Instance.of)")
         for j in self.jobs:
             if j.deadline > self.horizon:
                 raise ValueError(f"job {j.id!r}: deadline exceeds horizon {self.horizon}")
@@ -96,7 +101,7 @@ class Instance:
     def of(cls, jobs: Iterable[Job], horizon: Optional[int] = None) -> "Instance":
         """Jobs sorted by id, weights kept bit-for-bit; horizon defaults to
         the largest deadline."""
-        ordered = tuple(sorted(jobs, key=lambda j: j.id))
+        ordered = tuple(sorted(jobs, key=attrgetter("id")))
         max_deadline = max((j.deadline for j in ordered), default=0)
         if horizon is None:
             horizon = max_deadline
@@ -243,6 +248,11 @@ def read_instance_csv(path: Path | str) -> Instance:
     ``# horizon=T`` there fixes the horizon, otherwise the largest deadline
     is used. Below the header every record but a blank line is a job row,
     so any id ``write_instance_csv`` writes reads back unchanged.
+
+    The weights must have a finite sum: a file whose weights add up past
+    the float maximum raises ParseError at the row where the sum does.
+    Every sum the package takes is over a subset of them, so none of those
+    overflows either.
     """
     horizon: Optional[int] = None
     jobs: list[Job] = []
@@ -280,4 +290,20 @@ def read_instance_csv(path: Path | str) -> Instance:
                     line_no,
                 )
             first_line[row[0]] = line_no
+    weights = [j.weight for j in jobs]
+    if not _finite_sum(weights):
+        # Nonnegative weights: the prefix sums only grow.
+        k = bisect_left(
+            range(len(weights)), True, key=lambda i: not _finite_sum(weights[: i + 1])
+        )
+        raise ParseError("weights sum past the float maximum", first_line[jobs[k].id])
     return Instance.of(jobs, horizon)
+
+
+def _finite_sum(values: list[float]) -> bool:
+    """True iff ``math.fsum`` of the finite values does not overflow."""
+    try:
+        math.fsum(values)
+    except OverflowError:
+        return False
+    return True

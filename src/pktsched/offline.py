@@ -18,6 +18,12 @@ The series' exchange step may free a slot, so it remembers only the
 interval of its latest failed search, which stays closed until the next
 one, and rejects without a search a newcomer whose window lies inside it
 and which comes after all of its owners in ``heavier_first`` order.
+
+The matching works on ranks, not ``Job`` records: the instance's jobs are
+sorted once in ``heavier_first`` order, and a job is its index in that
+list. Slots hold ranks, so comparing two jobs in ``heavier_first`` order
+is an int compare, and the last owner of a set of slots is one C-level
+``max`` over them.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from collections import defaultdict
 from functools import lru_cache
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     _FOLD,
@@ -35,10 +41,8 @@ from .core import (
     Job,
     Schedule,
     canonicalize,
-    edf_first,
     exact_terms,
     feasible_at,
-    heavier_first,
     schedule_weight,
 )
 
@@ -50,18 +54,29 @@ class TooLarge(ValueError):
     """Instance exceeds the brute-force enumeration guard."""
 
 
+def _ranked(instance: Instance) -> list[Job]:
+    """The instance's jobs in ``heavier_first`` order.
+
+    ``instance.jobs`` is in increasing id order and the sort is stable
+    (``reverse`` keeps it so), so equal weights stay smaller id first.
+    """
+    return sorted(instance.jobs, key=attrgetter("weight"), reverse=True)
+
+
 class _SlotMatching:
     """Jobs matched onto unit slots by iterative augmenting-path search.
 
-    ``add_if_fits`` is the greedy matroid step (call in ``heavier_first``
-    order for a maximum-weight set). ``insert`` additionally performs the
+    Built on a list of jobs in ``heavier_first`` order; every method takes
+    and returns ranks, indexes into that list, and a smaller rank comes
+    first. ``add_if_fits`` is the greedy matroid step (call in rank order
+    for a maximum-weight set). ``insert`` additionally performs the
     exchange step needed when jobs arrive in release order: a newcomer that
-    cannot be added outright evicts the last job of its blocking structure
-    in ``heavier_first`` order when the newcomer comes before it. A
-    matching takes its jobs through one of the two.
+    cannot be added outright evicts the largest rank of its blocking
+    structure when that rank is larger than its own. A matching takes its
+    jobs through one of the two.
 
     A search walks alternating paths with an explicit stack and records,
-    for each slot it reaches, the job that reached it; those records are
+    for each slot it reaches, the rank that reached it; those records are
     the augmenting path when a free slot turns up. A failed search reaches
     a closed interval: all of its slots are occupied, by jobs whose windows
     lie inside it. Without evictions no slot there is ever freed, so no
@@ -70,14 +85,18 @@ class _SlotMatching:
     latest one, in ``_closed`` (see there).
     """
 
-    def __init__(self) -> None:
-        self.owner: dict[int, Job] = {}
-        self.slot_of: dict[str, int] = {}
+    def __init__(self, ranked: Sequence[Job]) -> None:
+        self.ranked = ranked
+        self.release = [j.release for j in ranked]
+        self.deadline = [j.deadline for j in ranked]
+        # owner[s] = rank of the job in slot s; slot_of[r] = slot of rank r.
+        self.owner: list[Optional[int]] = [None] * max(self.deadline, default=0)
+        self.slot_of: list[Optional[int]] = [None] * len(ranked)
         # _full[s] = a later slot e with every slot in [s, e) proven full.
         self._full: dict[int, int] = {}
-        # _closed = (lo, hi, key): the interval [lo, hi) of insert's latest
-        # failed search and the heavier_first key of its last owner.
-        self._closed: Optional[tuple[int, int, tuple[float, str]]] = None
+        # _closed = (lo, hi, rank): the interval [lo, hi) of insert's latest
+        # failed search and the largest rank among its owners.
+        self._closed: Optional[tuple[int, int, int]] = None
 
     def _next_open(self, s: int) -> int:
         """Smallest slot >= s not proven full (compresses the jump chain)."""
@@ -90,11 +109,11 @@ class _SlotMatching:
             full[p] = s
         return s
 
-    def _search(self, job: Job) -> tuple[Optional[int], dict[int, Job]]:
+    def _search(self, rank: int) -> tuple[Optional[int], dict[int, int]]:
         """Alternating search from the job's window, grown as an interval.
 
         Returns the free slot found (None when there is none) and the
-        slots reached, each mapped to the job that reached it. The owner
+        slots reached, each mapped to the rank that reached it. The owner
         of each occupied slot reached extends the interval [lo, hi)
         searched so far to cover its window; the stack holds the
         extensions not yet scanned, so each slot is reached at most once.
@@ -103,10 +122,12 @@ class _SlotMatching:
         ``add_if_fits`` proves any, so ``insert``'s searches see none.
         """
         owner = self.owner
+        release = self.release
+        deadline = self.deadline
         full = self._full
-        reached: dict[int, Job] = {}
-        lo, hi = job.release, job.deadline
-        stack = [(lo, hi, job)]
+        reached: dict[int, int] = {}
+        lo, hi = release[rank], deadline[rank]
+        stack = [(lo, hi, rank)]
         while stack:
             s, end, j = stack.pop()
             while s < end:
@@ -114,54 +135,59 @@ class _SlotMatching:
                     s = self._next_open(s)
                     continue
                 reached[s] = j
-                holder = owner.get(s)
+                holder = owner[s]
                 if holder is None:
                     return s, reached
-                if holder.release < lo:
-                    stack.append((holder.release, lo, holder))
-                    lo = holder.release
-                if holder.deadline > hi:
-                    stack.append((hi, holder.deadline, holder))
-                    hi = holder.deadline
+                if release[holder] < lo:
+                    stack.append((release[holder], lo, holder))
+                    lo = release[holder]
+                if deadline[holder] > hi:
+                    stack.append((hi, deadline[holder], holder))
+                    hi = deadline[holder]
                 s += 1
         return None, reached
 
-    def _shift_into(self, s: Optional[int], reached: dict[int, Job]) -> None:
+    def _shift_into(self, s: Optional[int], reached: dict[int, int]) -> None:
         """Move each job on the recorded path from slot s back to its root
         one step along, so the searching job takes a slot of its own."""
+        owner = self.owner
+        slot_of = self.slot_of
         while s is not None:
             j = reached[s]
-            prev = self.slot_of.get(j.id)
-            self.owner[s] = j
-            self.slot_of[j.id] = s
+            prev = slot_of[j]
+            owner[s] = j
+            slot_of[j] = s
             s = prev
 
-    def add_if_fits(self, job: Job) -> bool:
-        free, reached = self._search(job)
+    def add_if_fits(self, rank: int) -> bool:
+        # Every slot of the window proven full: a search would reach none.
+        if self._next_open(self.release[rank]) >= self.deadline[rank]:
+            return False
+        free, reached = self._search(rank)
         if free is None:
-            end = max((j.deadline for j in reached.values()), default=0)
+            end = max(map(self.deadline.__getitem__, reached.values()))
             for s in reached:
                 self._full[s] = end
             return False
         self._shift_into(free, reached)
         return True
 
-    def insert(self, job: Job) -> tuple[bool, Optional[Job]]:
-        """Add the job, possibly evicting one; returns (added, evicted).
+    def insert(self, rank: int) -> tuple[bool, Optional[int]]:
+        """Add the rank, possibly evicting one; returns (added, evicted).
 
         A failed augmentation leaves the matching untouched and has
         explored exactly the alternating-reachable slots, whose owners are
         the jobs whose removal would admit the newcomer (the matroid
-        circuit, whatever slots they hold). Evicting the last of them in
-        ``heavier_first`` order, when the newcomer comes before it, keeps
-        the set ``add_if_fits`` would pick from the same jobs, ties
-        included. The jobs on the recorded path to the evicted job's slot
-        shift into it, so no second search is needed.
+        circuit, whatever slots they hold). Evicting the largest rank among
+        them, when the newcomer's rank is smaller, keeps the set
+        ``add_if_fits`` would pick from the same jobs, ties included. The
+        jobs on the recorded path to the evicted job's slot shift into it,
+        so no second search is needed.
 
-        Every failed search leaves ``_closed`` = (lo, hi, key): its
-        interval [lo, hi) and the ``heavier_first`` key of the last owner
-        there once the insert is done. A later newcomer whose window lies
-        inside [lo, hi) and which comes after that key is rejected without
+        Every failed search leaves ``_closed`` = (lo, hi, last): its
+        interval [lo, hi) and the largest rank among the owners there once
+        the insert is done. A later newcomer whose window lies inside
+        [lo, hi) and whose rank is larger than ``last`` is rejected without
         a search. That is exact, because the interval stays closed, with
         the same owners, until the next failed search replaces it:
 
@@ -172,44 +198,43 @@ class _SlotMatching:
           of its slots are held by jobs whose windows lie inside it.
 
         The newcomer's own search would stay inside [lo, hi) and fail, and
-        the last owner it reached would come no later than that key.
+        the largest rank it reached would be no larger than ``last``.
         """
         closed = self._closed
-        key = heavier_first(job)
         if (
             closed is not None
-            and closed[0] <= job.release
-            and job.deadline <= closed[1]
-            and closed[2] < key
+            and closed[0] <= self.release[rank]
+            and self.deadline[rank] <= closed[1]
+            and closed[2] < rank
         ):
             return False, None
-        free, reached = self._search(job)
+        free, reached = self._search(rank)
         if free is not None:
             self._shift_into(free, reached)
             return True, None
-        owner = self.owner
+        owner_of = self.owner.__getitem__
         lo, hi = min(reached), max(reached) + 1
-        keys = [heavier_first(owner[s]) for s in reached]
-        last = max(keys)
-        if last < key:
+        last = max(map(owner_of, reached))
+        if last < rank:
             self._closed = (lo, hi, last)
             return False, None
-        freed = self.slot_of.pop(last[1])
-        lightest = owner[freed]
+        freed = self.slot_of[last]
+        self.slot_of[last] = None
         self._shift_into(freed, reached)
-        # The newcomer now holds a slot there in the evicted job's stead.
-        keys[keys.index(last)] = key
-        self._closed = (lo, hi, max(keys))
-        return True, lightest
+        # The same owners, with the newcomer in the evicted job's stead.
+        self._closed = (lo, hi, max(map(owner_of, reached)))
+        return True, last
 
     def selected_ids(self) -> set[str]:
-        return set(self.slot_of)
+        ranked = self.ranked
+        return {ranked[r].id for r, s in enumerate(self.slot_of) if s is not None}
 
 
 def _optimal_ids(instance: Instance) -> set[str]:
-    matching = _SlotMatching()
-    for job in sorted(instance.jobs, key=heavier_first):
-        matching.add_if_fits(job)
+    ranked = _ranked(instance)
+    matching = _SlotMatching(ranked)
+    for rank in range(len(ranked)):
+        matching.add_if_fits(rank)
     return matching.selected_ids()
 
 
@@ -281,51 +306,57 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     last mark and at most 64 weights past it: the same exact sum, rounded
     once. Placing slots again from s drops the marks of blocks past s.
     """
-    by_release: dict[int, list[Job]] = defaultdict(list)
-    for job in instance.jobs:
-        by_release[job.release].append(job)
-    matching = _SlotMatching()
-    selected = matching.slot_of
-    placed: list[Optional[Job]] = []
-    placed_at: dict[str, int] = {}
+    ranked = _ranked(instance)
+    matching = _SlotMatching(ranked)
+    release, deadline, slot_of = matching.release, matching.deadline, matching.slot_of
+    # Ranks released at each slot, in rank (heavier_first) order.
+    by_release: dict[int, list[int]] = defaultdict(list)
+    for rank, r in enumerate(release):
+        by_release[r].append(rank)
+    placed: list[Optional[int]] = []
+    placed_at: dict[int, int] = {}
     weights: list[float] = []
     # marks[k] = exact_terms(weights[:_FOLD * k]).
     marks: list[list[float]] = [[]]
-    waiting: list[tuple[int, float, str]] = []
+    # (deadline, rank) is edf_first order.
+    waiting: list[tuple[int, int]] = []
     values: list[float] = []
     for t in range(instance.horizon + 1):
         start = t
-        for job in sorted(by_release.get(t, ()), key=heavier_first):
-            added, evicted = matching.insert(job)
+        for rank in by_release.get(t, ()):
+            added, evicted = matching.insert(rank)
             if added:
-                heappush(waiting, edf_first(job))
-            if evicted is not None and evicted.id in placed_at:
-                start = min(start, placed_at[evicted.id])
-        # Selected jobs that re-enter the heap at their release while slots
+                heappush(waiting, (deadline[rank], rank))
+            if evicted is not None and evicted in placed_at:
+                start = min(start, placed_at[evicted])
+        # Selected ranks that re-enter the heap at their release while slots
         # start..t are placed again (none when only slot t is placed).
-        replay: list[Job] = []
+        replay: list[int] = []
         if start < t:
-            undone = [j for j in placed[start:] if j is not None]
-            for j in undone:
-                del placed_at[j.id]
+            undone = [r for r in placed[start:] if r is not None]
+            for r in undone:
+                del placed_at[r]
             del placed[start:], weights[start:], marks[start // _FOLD + 1 :]
-            undone += [instance.by_id[key[2]] for key in waiting]
+            undone += [r for _, r in waiting]
             replay = sorted(
-                (j for j in undone if j.id in selected), key=attrgetter("release")
+                (r for r in undone if slot_of[r] is not None), key=release.__getitem__
             )
             waiting = []
         i = 0
         for s in range(start, t + 1):
-            while i < len(replay) and replay[i].release <= s:
-                heappush(waiting, edf_first(replay[i]))
+            while i < len(replay) and release[replay[i]] <= s:
+                heappush(waiting, (deadline[replay[i]], replay[i]))
                 i += 1
-            while waiting and waiting[0][2] not in selected:
+            while waiting and slot_of[waiting[0][1]] is None:
                 heappop(waiting)
-            job = instance.by_id[heappop(waiting)[2]] if waiting else None
-            placed.append(job)
-            if job is not None:
-                placed_at[job.id] = s
-            weights.append(0.0 if job is None else job.weight)
+            if waiting:
+                rank = heappop(waiting)[1]
+                placed.append(rank)
+                placed_at[rank] = s
+                weights.append(ranked[rank].weight)
+            else:
+                placed.append(None)
+                weights.append(0.0)
         while len(weights) > _FOLD * len(marks):
             base = _FOLD * (len(marks) - 1)
             marks.append(exact_terms(marks[-1] + weights[base : base + _FOLD]))

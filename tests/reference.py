@@ -5,12 +5,14 @@ from typing import Optional
 
 from pktsched import (
     PHI,
+    InfeasibleSelection,
     Instance,
     Job,
     LapTrace,
     Schedule,
     apply_choices,
     build_choices,
+    canonicalize,
     local_test,
     opt_schedule,
     prefix_opt_series,
@@ -33,6 +35,20 @@ def release_prefix(instance: Instance, t: int) -> Instance:
 def processed_ids(trace: LapTrace) -> set[str]:
     """Ids of the jobs a LAP run processed."""
     return {r.job_id for r in trace.rows if r.job_id is not None}
+
+
+def greedy_edf_ids(instance: Instance) -> set[str]:
+    """Ids of the maximum-weight schedulable set, by the matroid greedy
+    with ``canonicalize`` as the feasibility test: jobs in
+    ``heavier_first`` order, each kept iff the kept set still places."""
+    kept: set[str] = set()
+    for job in sorted(instance.jobs, key=heavier_first):
+        try:
+            canonicalize(instance, kept | {job.id})
+        except InfeasibleSelection:
+            continue
+        kept.add(job.id)
+    return kept
 
 
 def prefix_weight(schedule: Schedule, t: int) -> float:

@@ -125,3 +125,44 @@ def test_experiment_command(tmp_path, capsys):
     assert main(["experiment", "--config", str(cfg)]) == 0
     assert "wrote 4 records" in capsys.readouterr().out
     assert (out / "results.csv").exists() and (out / "series.csv").exists()
+
+
+def _overflowing(tmp_path):
+    # Each weight is finite, but their sum passes the float maximum.
+    path = tmp_path / "big.csv"
+    path.write_text("id,release,deadline,weight\na,0,1,1e308\nb,0,2,1e308\n", encoding="utf-8")
+    return path
+
+
+def _malformed(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,release,deadline,weight\na,0,1\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [(_malformed, "line 2: expected 4 fields, got 3"),
+     (lambda tmp_path: tmp_path / "missing.csv", "cannot read .*No such file or directory"),
+     (_overflowing, "line 3: weights sum past the float maximum")],
+    ids=["malformed", "missing", "overflow"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["opt", "{path}"],
+     ["eta", "--real", "{path}", "--pred", "{good}"],
+     ["eta", "--real", "{good}", "--pred", "{path}"],
+     ["run", "--algo", "mg", "--real", "{path}"],
+     ["run", "--algo", "lap", "--real", "{good}", "--pred", "{path}"]],
+    ids=["opt", "eta-real", "eta-pred", "run", "run-pred"],
+)
+def test_unreadable_instance_exits_with_one_line(tmp_path, j2, make, message, command, capsys):
+    good = tmp_path / "good.csv"
+    write_instance_csv(j2, good)
+    path = make(tmp_path)
+    argv = [a.format(path=path, good=good) for a in command]
+    with pytest.raises(SystemExit, match=f"^pktsched {argv[0]}: .*{message}$") as exc:
+        main(argv)
+    # A string code is printed alone on exit, with no traceback.
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    assert capsys.readouterr() == ("", "")

@@ -185,6 +185,13 @@ def test_instance_invariants():
         Instance.of([Job("a", 0, 2, 1.0), Job("a", 0, 3, 2.0)])
     with pytest.raises(ValueError):
         Instance.of([Job("a", 0, 5, 1.0)], horizon=3)  # deadline past horizon
+    # Built directly, the jobs must already be in increasing id order.
+    b, a = Job("b", 0, 2, 1.0), Job("a", 0, 2, 2.0)
+    with pytest.raises(ValueError, match="not sorted by id"):
+        Instance((b, a), 2)
+    with pytest.raises(ValueError, match="duplicate job ids"):
+        Instance((a, a), 2)
+    assert Instance.of([b, a]).jobs == (a, b)
     # Distinct weights pass through untouched.
     inst = mk([("a", 0, 2, 0.25), ("b", 0, 2, 0.5)])
     assert [j.weight for j in inst.jobs] == [0.25, 0.5]
@@ -278,3 +285,24 @@ def test_csv_duplicate_id_reports_second_row(tmp_path):
     with pytest.raises(ParseError, match="duplicate job id 'a'") as exc:
         read_instance_csv(dup)
     assert exc.value.line_no == 4
+
+
+def test_csv_weight_sum_past_float_max_reports_its_row(tmp_path):
+    # Each weight is finite; the sum first passes the float maximum at d.
+    big = tmp_path / "big.csv"
+    big.write_text(
+        "id,release,deadline,weight\n"
+        "a,0,1,1e308\nb,0,2,0.5\nc,0,2,7e307\nd,1,2,1e308\ne,1,3,1e308\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError, match="sum past the float maximum") as exc:
+        read_instance_csv(big)
+    assert exc.value.line_no == 5
+    # Up to the float maximum itself the file reads.
+    edge = tmp_path / "edge.csv"
+    edge.write_text(
+        f"id,release,deadline,weight\na,0,1,{math.ulp(0.0)!r}\n"
+        f"b,0,2,{(1.7976931348623157e308 - math.ulp(1e308))!r}\nc,1,2,{math.ulp(1e308)!r}\n",
+        encoding="utf-8",
+    )
+    assert schedule_weight(opt_schedule(read_instance_csv(edge))) == 1.7976931348623157e308

@@ -4,7 +4,6 @@ import pytest
 
 from pktsched import (
     GeneratorSpec,
-    InfeasibleSelection,
     Instance,
     Job,
     TooLarge,
@@ -19,7 +18,7 @@ from pktsched import (
 from pktsched.core import heavier_first
 from pktsched.offline import BRUTE_FORCE_MAX_HORIZON, BRUTE_FORCE_MAX_JOBS, _SlotMatching
 from conftest import TIED_WEIGHTS, edge_shape_instances, mk, random_instance
-from reference import prefix_weight, release_prefix, resolved_prefix_opt
+from reference import greedy_edf_ids, prefix_weight, release_prefix, resolved_prefix_opt
 
 
 def test_opt_schedule_examples(j2):
@@ -174,14 +173,15 @@ def test_insert_rejects_inside_last_closed_interval_without_search(monkeypatch):
     searched = []
     search = _SlotMatching._search
 
-    def counted(self, job):
-        searched.append(job.id)
-        return search(self, job)
+    def counted(self, rank):
+        searched.append(rank)
+        return search(self, rank)
 
     monkeypatch.setattr(_SlotMatching, "_search", counted)
-    matching = _SlotMatching()
-    for job in sorted(inst.jobs, key=lambda j: (j.release, heavier_first(j))):
-        matching.insert(job)
+    ranked = sorted(inst.jobs, key=heavier_first)
+    matching = _SlotMatching(ranked)
+    for rank in sorted(range(len(ranked)), key=lambda r: (ranked[r].release, r)):
+        matching.insert(rank)
     assert matching.selected_ids() == best
     # 297 inserts, 108 searches: the rest are rejected by the shortcut.
     assert len(searched) < len(inst.jobs) / 2
@@ -192,11 +192,11 @@ def test_insert_in_any_order_selects_the_optimum():
     # or after the remembered interval; other orders exercise its start.
     rng = random.Random(131)
     for inst in _series_fuzz_instances(rng):
-        jobs = list(inst.jobs)
-        rng.shuffle(jobs)
-        matching = _SlotMatching()
-        for job in jobs:
-            matching.insert(job)
+        ranks = list(range(len(inst.jobs)))
+        rng.shuffle(ranks)
+        matching = _SlotMatching(sorted(inst.jobs, key=heavier_first))
+        for rank in ranks:
+            matching.insert(rank)
         assert matching.selected_ids() == opt_schedule(inst).job_ids()
 
 
@@ -251,17 +251,6 @@ def test_long_augmenting_chain():
     assert prefix_opt_series(inst)[-1] == 4502.001
 
 
-def _matroid_greedy_ids(instance):
-    chosen = set()
-    for job in sorted(instance.jobs, key=lambda j: (-j.weight, j.id)):
-        try:
-            canonicalize(instance, chosen | {job.id})
-        except InfeasibleSelection:
-            continue
-        chosen.add(job.id)
-    return chosen
-
-
 def test_opt_matches_matroid_greedy_on_overloaded_wide_windows():
     # Hundreds of jobs with windows up to 25 slots wide, most rejected:
     # far beyond brute force, and the shape where a failed search proves
@@ -273,5 +262,37 @@ def test_opt_matches_matroid_greedy_on_overloaded_wide_windows():
         opt = opt_schedule(inst)
         assert len(inst.jobs) >= 250
         assert len(opt.job_ids()) < len(inst.jobs) / 4
-        assert opt.job_ids() == _matroid_greedy_ids(inst)
+        assert opt.job_ids() == greedy_edf_ids(inst)
         assert prefix_opt_series(inst)[-1] == schedule_weight(opt)
+
+
+def _non_agreeable(rng, weights):
+    """40-200 jobs whose windows nest and cross at random, so release
+    order and deadline order disagree."""
+    horizon = rng.randint(10, 60)
+    jobs = []
+    for i in range(rng.randint(40, 200)):
+        r = rng.randrange(horizon)
+        d = rng.randint(r + 1, min(horizon, r + rng.randint(1, horizon)))
+        jobs.append(Job(f"j{i:03d}", r, d, rng.choice(weights)))
+    return Instance.of(jobs)
+
+
+def test_matching_matches_greedy_edf_oracle_past_brute_force():
+    # Far past the brute-force guard, an oracle that shares no code with
+    # the matching: tied weights and crossing windows, most jobs rejected.
+    rng = random.Random(139)
+    for k in range(30):
+        inst = _non_agreeable(rng, TIED_WEIGHTS if k % 3 else TIED_WEIGHTS + (0.75, 2.0))
+        expected = greedy_edf_ids(inst)
+        assert opt_schedule(inst).job_ids() == expected
+        assert prefix_opt_series(inst)[-1] == schedule_weight(canonicalize(inst, expected))
+        ranked = sorted(inst.jobs, key=heavier_first)
+        in_release_order = sorted(range(len(ranked)), key=lambda r: (ranked[r].release, r))
+        shuffled = in_release_order[:]
+        rng.shuffle(shuffled)
+        for order in (in_release_order, shuffled):
+            matching = _SlotMatching(ranked)
+            for rank in order:
+                matching.insert(rank)
+            assert matching.selected_ids() == expected
