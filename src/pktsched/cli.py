@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 
 from .core import (
     Instance,
@@ -54,6 +55,19 @@ def _read_instance(command: str, path: str) -> Instance:
         raise SystemExit(f"pktsched {command}: {path}: {exc}") from None
 
 
+@contextmanager
+def _one_line_errors(command: str):
+    """End the command with a one-line message (no traceback) when a file
+    cannot be read or written, or an input is rejected."""
+    try:
+        yield
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        raise SystemExit(f"pktsched {command}: {where}{exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise SystemExit(f"pktsched {command}: {exc}") from None
+
+
 def _cmd_opt(args) -> int:
     instance = _read_instance("opt", args.instance)
     schedule = opt_schedule(instance)
@@ -72,13 +86,11 @@ def _cmd_eta(args) -> int:
 def _cmd_run(args) -> int:
     if args.trace and args.algo != "lap":
         raise SystemExit("--trace is only meaningful with --algo lap")
-    try:
+    with _one_line_errors("run"):
         if args.algo not in PREDICTION_ALGORITHMS:
             OnlineStepPolicy.parse(args.algo)
         OnlineStepPolicy.parse(args.fallback)
         check_threshold(args.rho)
-    except ValueError as exc:
-        raise SystemExit(f"pktsched run: {exc}") from None
     realization = _read_instance("run", args.real)
     predicted = _read_instance("run", args.pred) if args.pred else None
     try:
@@ -87,6 +99,10 @@ def _cmd_run(args) -> int:
         )
     except MissingPrediction:
         raise SystemExit(f"--algo {args.algo} requires --pred") from None
+    # Written before anything is printed, so an unwritable path fails alone.
+    if args.trace:
+        with _one_line_errors("run"):
+            write_trace_csv(trace, args.trace)
     print(f"# algorithm={args.algo}")
     print(f"# weight={schedule_weight(schedule)!r}")
     best = schedule_weight(opt_schedule(realization))
@@ -94,33 +110,34 @@ def _cmd_run(args) -> int:
     if predicted is not None:
         print(f"# eta={prediction_error(realization, predicted)!r}")
     _print_schedule(schedule)
-    if args.trace:
-        write_trace_csv(trace, args.trace)
     return 0
 
 
 def _cmd_gen(args) -> int:
-    spec = parse_generator_spec(args.spec, seed=args.seed)
-    write_instance_csv(generate(spec), args.out)
+    with _one_line_errors("gen"):
+        spec = parse_generator_spec(args.spec, seed=args.seed)
+        write_instance_csv(generate(spec), args.out)
     return 0
 
 
 def _cmd_ingest(args) -> int:
-    instances = ingest_snap_events(
-        args.infile,
-        slots_per_day=args.slots_per_day,
-        band=(args.band_lo, args.band_hi),
-        seed=args.seed,
-        ts_col=args.ts_col,
-    )
-    paths = write_day_instances(instances, args.out_dir)
+    with _one_line_errors("ingest"):
+        instances = ingest_snap_events(
+            args.infile,
+            slots_per_day=args.slots_per_day,
+            band=(args.band_lo, args.band_hi),
+            seed=args.seed,
+            ts_col=args.ts_col,
+        )
+        paths = write_day_instances(instances, args.out_dir)
     print(f"wrote {len(paths)} day instance(s) to {args.out_dir}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    config = parse_config_file(args.config)
-    records = run_experiment_to_dir(config)
+    with _one_line_errors("experiment"):
+        config = parse_config_file(args.config)
+        records = run_experiment_to_dir(config)
     print(f"wrote {len(records)} records to {config.out_dir}")
     return 0
 

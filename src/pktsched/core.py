@@ -162,8 +162,9 @@ def exact_terms(values: Iterable[float]) -> list[float]:
 def pending_set(instance: Instance, processed: set[str], t: int) -> set[Job]:
     """Released, unprocessed, still-feasible jobs at slot t (the buffer).
 
-    A scan of every job: the reference that ``online.Buffer``, which the
-    run loops keep slot by slot, is tested against. No run loop calls it.
+    A scan of every job: the reference that ``online.Buffer.jobs``, the
+    id-keyed pending map the run loops keep slot by slot, is tested
+    against. No run loop calls it.
     """
     return {j for j in instance.jobs if j.id not in processed and feasible_at(j, t)}
 

@@ -237,9 +237,14 @@ def ingest_snap_events(
     UNIX timestamp. Days whose event count falls inside ``band`` become
     one instance each: timestamps are quantized linearly into release
     slots 1..slots_per_day and weights/deadlines are synthesized with the
-    per-day-seeded agreeable models.
+    per-day-seeded agreeable models. Raises ValueError, before the file
+    is read, unless slots_per_day >= 1 and the band's lo <= hi.
     """
     lo, hi = band
+    if slots_per_day < 1:
+        raise ValueError(f"slots_per_day must be >= 1, got {slots_per_day!r}")
+    if lo > hi:
+        raise ValueError(f"band must have lo <= hi, got {band!r}")
     events: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):

@@ -115,27 +115,22 @@ def lap_run(
     slots: list[Optional[Job]] = []
     rows: list[LapSlot] = []
     for t in range(realization.horizon + 1):
-        buffer.at(t)
         cid = choices[t] if t < len(choices) else None
-        predicted = realization.by_id.get(cid) if cid is not None else None
-        ratio: Optional[float] = None
-        chosen: Optional[Job] = None
-        source = ONLINE
         # Pending means released, unprocessed and feasible at t.
-        if predicted is not None and predicted in buffer.jobs:
+        predicted = buffer.at(t).jobs.get(cid)
+        ratio: Optional[float] = None
+        source = ONLINE
+        if predicted is not None:
             if len(processed_weights) > _FOLD:
                 processed_weights[:] = exact_terms(processed_weights)
             passed, ratio = local_test(
                 series, processed_weights, predicted.weight, t, rho
             )
             if passed:
-                chosen = predicted
                 source = PREDICTION
-        if chosen is None:
-            pick = policy.step(buffer)
-            chosen = realization.by_id[pick] if pick is not None else None
+        pick = cid if source == PREDICTION else policy.step(buffer)
+        chosen = buffer.take(pick) if pick is not None else None
         if chosen is not None:
-            buffer.remove(chosen)
             processed_weights.append(chosen.weight)
         slots.append(chosen)
         rows.append(

@@ -4,10 +4,10 @@ Each step rule is memoryless: given the current buffer of feasible,
 unprocessed jobs it picks one job id (or none). That makes the rules
 usable standalone and as the fallback inside the learning-augmented
 scheduler, which may hand over mid-stream. A run keeps its buffer in a
-:class:`Buffer`, which changes only by the jobs released, expiring or run
-at each slot. The buffer also indexes its jobs in two heaps, so greedy,
-EDF and MG pick in O(log n) amortized per step over an n-job run instead
-of scanning the b buffered jobs; EDF-alpha still scans, O(b) per step.
+:class:`Buffer`, whose ``jobs`` map (id to job) ``at`` and ``take`` change
+only by the jobs released, expiring or run at each slot. Two heaps index
+it, so greedy, EDF and MG pick in O(log n) amortized per step over an
+n-job run instead of scanning the b buffered jobs; EDF-alpha still scans.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Optional
 
-from .core import Instance, Job, Schedule, edf_first
+from .core import Instance, Job, Schedule, edf_first, heavier_first
 
 # Golden ratio: modified greedy's weight threshold and its competitive ratio
 # on agreeable-deadline instances.
@@ -29,42 +29,33 @@ PHI = (1 + math.sqrt(5)) / 2
 class Buffer:
     """The pending jobs of one run: released, not run, not yet expired.
 
-    Call :meth:`at` for slots 0, 1, 2, ... in turn and pass every job that
-    runs to :meth:`remove`; then ``buffer.jobs`` after ``at(t)`` equals
-    ``core.pending_set(instance, run_so_far, t)``. A release-ordered
-    cursor adds jobs and a deadline-bucket map drops each job at slot
+    ``jobs`` maps each pending job's id to the job and is the only record
+    of what is pending. Call :meth:`at` for slots 0, 1, 2, ... in turn and
+    :meth:`take` every job that runs; then ``jobs`` after ``at(t)`` holds
+    ``core.pending_set(instance, run_so_far, t)``. A release-ordered cursor
+    admits jobs and a deadline-bucket map drops each id at slot
     ``deadline``, so a slot costs only what changes at it.
 
-    :meth:`heaviest` and :meth:`earliest` return the first pending job in
-    ``heavier_first`` and ``edf_first`` order from two lazy-deletion
-    heaps. A heap is fed on its first read after new admissions, with the
-    admitted jobs still pending, so a run that never reads it (LAP
-    following its prediction) pays nothing for it. A job that runs or
-    expires stays in a heap until it reaches the top, and is popped there.
-    Each job is pushed at most once per heap and popped at most once, so a
-    read costs O(log n) amortized over an n-job run, against O(b) for a
-    scan of a b-job buffer.
+    :meth:`heaviest` and :meth:`earliest` read lazy-deletion heaps in
+    ``heavier_first`` and ``edf_first`` order. A heap is fed the pending
+    arrivals on its first read after they come, so a run that never reads
+    it (LAP following its prediction) pays nothing for it. An entry whose
+    id has left ``jobs`` is popped when it reaches the top. Each job is
+    pushed and popped at most once per heap: O(log n) amortized per read
+    over an n-job run, against O(b) to scan a b-job buffer.
     """
 
     def __init__(self, instance: Instance) -> None:
-        self.jobs: set[Job] = set()
+        self.jobs: dict[str, Job] = {}
         self._arrivals = sorted(instance.jobs, key=attrgetter("release"))
         self._next = 0
-        self._t = -1
-        # Ids of the jobs run so far. A heap entry is pending iff its job
-        # is neither run nor past its deadline: the same test as membership
-        # in self.jobs, without hashing a Job (a Python-level __hash__).
-        self._ran: set[str] = set()
-        # Entries are a sort key followed by the job; the keys end in the
-        # unique id, so two entries never compare their jobs. Each heap has
-        # fed the arrivals before its cursor.
-        self._by_weight: list[tuple[float, str, Job]] = []
-        self._by_deadline: list[tuple[int, float, str, Job]] = []
-        self._fed_by_weight = 0
-        self._fed_by_deadline = 0
-        self._expiring: dict[int, list[Job]] = defaultdict(list)
+        # Per order, a heap of its sort keys (they end in the unique id) and
+        # a cursor: the heap has been fed the arrivals before it.
+        self._heaps: dict = {heavier_first: [], edf_first: []}
+        self._fed = dict.fromkeys(self._heaps, 0)
+        self._expiring: dict[int, list[str]] = defaultdict(list)
         for job in instance.jobs:
-            self._expiring[job.deadline].append(job)
+            self._expiring[job.deadline].append(job.id)
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -72,48 +63,40 @@ class Buffer:
     def at(self, t: int) -> Buffer:
         """Admit the jobs released by t, drop those expiring at t, and
         return the buffer (the step rules only read it)."""
-        arrivals, i = self._arrivals, self._next
+        arrivals, i, jobs = self._arrivals, self._next, self.jobs
         while i < len(arrivals) and arrivals[i].release <= t:
-            self.jobs.add(arrivals[i])
+            job = arrivals[i]
+            jobs[job.id] = job
             i += 1
         self._next = i
-        self.jobs.difference_update(self._expiring.pop(t, ()))
-        self._t = t
+        for job_id in self._expiring.pop(t, ()):
+            jobs.pop(job_id, None)
         return self
 
-    def remove(self, job: Job) -> None:
-        """Take out a pending job that runs now."""
-        self.jobs.remove(job)
-        self._ran.add(job.id)
+    def take(self, job_id: str) -> Job:
+        """Remove and return the pending job that runs now; KeyError if
+        no pending job has this id."""
+        return self.jobs.pop(job_id)
 
     def heaviest(self) -> Optional[Job]:
         """First pending job in ``heavier_first`` order; None if empty."""
-        heap = self._by_weight
-        if self._fed_by_weight < self._next:
-            t, ran = self._t, self._ran
-            for job in self._arrivals[self._fed_by_weight : self._next]:
-                if job.deadline > t and job.id not in ran:
-                    heappush(heap, (-job.weight, job.id, job))
-            self._fed_by_weight = self._next
-        return self._top(heap)
+        return self._first(heavier_first)
 
     def earliest(self) -> Optional[Job]:
         """First pending job in ``edf_first`` order; None if empty."""
-        heap = self._by_deadline
-        if self._fed_by_deadline < self._next:
-            t, ran = self._t, self._ran
-            for job in self._arrivals[self._fed_by_deadline : self._next]:
-                if job.deadline > t and job.id not in ran:
-                    heappush(heap, (job.deadline, -job.weight, job.id, job))
-            self._fed_by_deadline = self._next
-        return self._top(heap)
+        return self._first(edf_first)
 
-    def _top(self, heap: list) -> Optional[Job]:
-        """Pop the run or expired jobs off the top; return the top job."""
-        t, ran = self._t, self._ran
+    def _first(self, order) -> Optional[Job]:
+        """Feed the order's heap the pending arrivals since its last read,
+        pop the stale entries off its top, and return the top job."""
+        heap, jobs = self._heaps[order], self.jobs
+        for job in self._arrivals[self._fed[order] : self._next]:
+            if job.id in jobs:
+                heappush(heap, order(job))
+        self._fed[order] = self._next
         while heap:
-            job = heap[0][-1]
-            if job.deadline > t and job.id not in ran:
+            job = jobs.get(heap[0][-1])
+            if job is not None:
                 return job
             heappop(heap)
         return None
@@ -136,7 +119,7 @@ def edf_alpha_step(buffer: Buffer, alpha: float) -> Optional[str]:
     buffer maximum."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    jobs = buffer.jobs
+    jobs = buffer.jobs.values()
     if not jobs:
         return None
     top = max(j.weight for j in jobs)
@@ -211,8 +194,5 @@ def run_online(policy: OnlineStepPolicy, instance: Instance) -> Schedule:
     slots: list[Optional[Job]] = []
     for t in range(instance.horizon + 1):
         pick = policy.step(buffer.at(t))
-        job = instance.by_id[pick] if pick is not None else None
-        if job is not None:
-            buffer.remove(job)
-        slots.append(job)
+        slots.append(buffer.take(pick) if pick is not None else None)
     return Schedule(tuple(slots))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from pktsched import read_instance_csv, write_instance_csv
@@ -164,5 +166,42 @@ def test_unreadable_instance_exits_with_one_line(tmp_path, j2, make, message, co
     with pytest.raises(SystemExit, match=f"^pktsched {argv[0]}: .*{message}$") as exc:
         main(argv)
     # A string code is printed alone on exit, with no traceback.
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    assert capsys.readouterr() == ("", "")
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [(["run", "--algo", "lap", "--real", "{good}", "--pred", "{good}",
+       "--trace", "{tmp}/nodir/t.csv"], "{tmp}/nodir/t.csv: No such file or directory"),
+     (["gen", "--spec", "uniform:T=5", "--out", "{tmp}/nodir/x.csv"],
+      "{tmp}/nodir/x.csv: No such file or directory"),
+     (["gen", "--spec", "bogus:T=5", "--out", "{tmp}/x.csv"], "unknown generator kind 'bogus'"),
+     (["gen", "--spec", "uniform:T=abc", "--out", "{tmp}/x.csv"], "invalid literal for int() with base 10: 'abc'"),
+     (["experiment", "--config", "{tmp}/nope.cfg"], "{tmp}/nope.cfg: No such file or directory"),
+     (["experiment", "--config", "{bogus_cfg}"], "line 1: unknown key 'bogus'"),
+     (["ingest", "--in", "{tmp}/missing.txt", "--out-dir", "{tmp}/days"],
+      "{tmp}/missing.txt: No such file or directory"),
+     (["ingest", "--in", "{tmp}/missing.txt", "--out-dir", "{tmp}/days", "--slots-per-day", "0"],
+      "slots_per_day must be >= 1, got 0")],
+    ids=["run-trace", "gen-out", "gen-kind", "gen-value", "experiment-missing",
+         "experiment-key", "ingest-missing", "ingest-slots"],
+)
+def test_unusable_path_or_option_exits_with_one_line(tmp_path, j2, command, message, capsys):
+    good = tmp_path / "good.csv"
+    write_instance_csv(j2, good)
+    names = {"good": good, "tmp": tmp_path, "bogus_cfg": _config(tmp_path, "bogus = 1\n")}
+    argv = [a.format(**names) for a in command]
+    pattern = re.escape(f"pktsched {argv[0]}: {message.format(**names)}")
+    with pytest.raises(SystemExit, match=f"^{pattern}$") as exc:
+        main(argv)
+    # A string code is printed alone on exit, with no traceback; run has
+    # printed no schedule before it fails.
     assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
     assert capsys.readouterr() == ("", "")

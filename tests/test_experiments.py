@@ -206,6 +206,20 @@ def test_ingest_errors(tmp_path):
     assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"slots_per_day": 0}, "slots_per_day must be >= 1, got 0"),
+     ({"slots_per_day": -3}, "slots_per_day must be >= 1, got -3"),
+     ({"band": (500, 300)}, r"band must have lo <= hi, got \(500, 300\)")],
+    ids=["slots-zero", "slots-negative", "band-reversed"],
+)
+def test_ingest_rejects_bad_arguments_before_reading(tmp_path, kwargs, message):
+    # The file does not exist: an argument checked after the read would
+    # fail there instead.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ingest_snap_events(tmp_path / "missing.txt", **kwargs)
+
+
 def test_competitive_ratio(j1, j2):
     best = schedule_weight(opt_schedule(j2))
     assert competitive_ratio(j2, opt_schedule(j2), best) == 1.0

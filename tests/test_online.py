@@ -87,8 +87,8 @@ def test_mg_never_picks_dominated():
     rng = random.Random(37)
     for _ in range(100):
         buffer = _released_at_0(random_instance(rng, min_jobs=1, max_jobs=7))
-        pick = next(j for j in buffer.jobs if j.id == mg_step(buffer))
-        assert not any(dominates(other, pick) for other in buffer.jobs)
+        pick = buffer.jobs[mg_step(buffer)]
+        assert not any(dominates(other, pick) for other in buffer.jobs.values())
 
 
 def _mg_by_dominance_filter(buffer):
@@ -108,14 +108,14 @@ def test_mg_step_matches_dominance_filter_rule():
             for i in range(rng.randint(1, 12))
         ]
         buffer = Buffer(Instance.of(jobs)).at(0)
-        assert mg_step(buffer) == _mg_by_dominance_filter(buffer.jobs)
+        assert mg_step(buffer) == _mg_by_dominance_filter(buffer.jobs.values())
 
 
 def test_steps_pick_buffer_members():
     rng = random.Random(41)
     for _ in range(50):
         buffer = _released_at_0(random_instance(rng, min_jobs=1, max_jobs=6))
-        ids = {j.id for j in buffer.jobs}
+        ids = set(buffer.jobs)
         for policy in (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)):
             assert policy.step(buffer) in ids
             assert policy.step(_buffer([])) is None
@@ -137,14 +137,14 @@ def test_buffer_matches_pending_set():
         processed = set()
         for t in range(inst.horizon + 1):
             pending = buffer.at(t).jobs
-            assert pending == pending_set(inst, processed, t)
+            assert pending == {j.id: j for j in pending_set(inst, processed, t)}
             if not pending:
                 continue
             if rng.random() < 0.5:
                 job = inst.by_id[policy.step(buffer)]
             else:
-                job = rng.choice(sorted(pending, key=lambda j: j.id))
-            buffer.remove(job)
+                job = rng.choice(sorted(pending.values(), key=lambda j: j.id))
+            buffer.take(job.id)
             processed.add(job.id)
 
 
@@ -176,14 +176,14 @@ def test_indexed_rules_match_set_scan():
         for t in range(inst.horizon + 1):
             jobs = buffer.at(t).jobs
             picks = [rule(buffer) for rule, _ in rules]
-            assert picks == [oracle(jobs) for _, oracle in rules]
+            assert picks == [oracle(jobs.values()) for _, oracle in rules]
             if not jobs:
                 continue
             if rng.random() < 0.5:
                 job = inst.by_id[rng.choice(picks)]
             else:
-                job = rng.choice(sorted(jobs, key=lambda j: j.id))
-            buffer.remove(job)
+                job = rng.choice(sorted(jobs.values(), key=lambda j: j.id))
+            buffer.take(job.id)
 
 
 @pytest.mark.parametrize("fallback", [GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)])
@@ -203,8 +203,36 @@ def test_lap_trace_unchanged_under_set_scan_rules(monkeypatch, fallback):
     indexed = [lap_run(pred, real, rho, fallback) for pred, real, rho in cases]
     for name in ("greedy_step", "edf_step", "mg_step"):
         oracle = getattr(reference, name)
-        monkeypatch.setattr(online, name, lambda buffer, oracle=oracle: oracle(buffer.jobs))
+        monkeypatch.setattr(online, name, lambda buffer, oracle=oracle: oracle(buffer.jobs.values()))
     assert [lap_run(pred, real, rho, fallback) for pred, real, rho in cases] == indexed
+
+
+def test_run_loop_never_hashes_a_job(monkeypatch):
+    # The buffer keys its pending jobs by id: a Job's dataclass hash is a
+    # Python-level call, so no admission, expiry, heap read or take pays
+    # for it. lap_run is left out: prefix_opt_series's cache key hashes the
+    # instance.
+    instances = (
+        generate(GeneratorSpec("uniform", horizon=60, seed=5)),
+        # Overloaded: most jobs expire unrun, so stale heap tops are common.
+        generate(GeneratorSpec("powerlaw", horizon=20, a=30, m=100, max_slack=12, seed=6)),
+    )
+
+    def hashed(job):
+        raise AssertionError("Job hashed")
+
+    monkeypatch.setattr(Job, "__hash__", hashed)
+    for inst in instances:
+        for policy in (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)):
+            assert validate_schedule(inst, run_online(policy, inst))[0]
+        buffer = Buffer(inst)
+        for t in range(inst.horizon + 1):
+            jobs = buffer.at(t).jobs
+            if jobs:
+                assert buffer.heaviest() is not None and buffer.earliest() is not None
+                # An arbitrary pending job, as LAP takes when it follows
+                # the prediction.
+                buffer.take(min(jobs))
 
 
 def test_run_online_examples(j2):
