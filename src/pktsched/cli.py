@@ -17,7 +17,6 @@ from .core import (
 )
 from .experiments import (
     PREDICTION_ALGORITHMS,
-    MissingPrediction,
     competitive_ratio,
     generate,
     ingest_snap_events,
@@ -84,21 +83,21 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.trace and args.algo != "lap":
-        raise SystemExit("--trace is only meaningful with --algo lap")
     with _one_line_errors("run"):
-        if args.algo not in PREDICTION_ALGORITHMS:
+        if args.trace and args.algo != "lap":
+            raise ValueError("--trace is only meaningful with --algo lap")
+        if args.algo in PREDICTION_ALGORITHMS:
+            if not args.pred:
+                raise ValueError(f"--algo {args.algo} requires --pred")
+        else:
             OnlineStepPolicy.parse(args.algo)
         OnlineStepPolicy.parse(args.fallback)
         check_threshold(args.rho)
     realization = _read_instance("run", args.real)
     predicted = _read_instance("run", args.pred) if args.pred else None
-    try:
-        schedule, trace = run_algorithm(
-            args.algo, realization, predicted, args.rho, args.fallback
-        )
-    except MissingPrediction:
-        raise SystemExit(f"--algo {args.algo} requires --pred") from None
+    schedule, trace = run_algorithm(
+        args.algo, realization, predicted, args.rho, args.fallback
+    )
     # Written before anything is printed, so an unwritable path fails alone.
     if args.trace:
         with _one_line_errors("run"):

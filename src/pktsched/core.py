@@ -111,6 +111,16 @@ class Instance:
     def by_id(self) -> dict[str, Job]:
         return {j.id: j for j in self.jobs}
 
+    @cached_property
+    def prefix_opt(self) -> tuple[float, ...]:
+        """:func:`offline.prefix_opt_series` of this instance, solved on
+        first read and kept with it."""
+        # Imported here because offline imports this module; the name is
+        # read at each call, so a rebound prefix_opt_series is the one run.
+        from .offline import prefix_opt_series
+
+        return prefix_opt_series(self)
+
 
 @dataclass(frozen=True)
 class Schedule:

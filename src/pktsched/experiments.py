@@ -21,7 +21,7 @@ import hashlib
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Optional, get_args, get_origin, get_type_hints
 
@@ -35,7 +35,6 @@ from .core import (
     write_instance_csv,
 )
 from .lap import LapTrace, lap_run
-from .offline import opt_schedule
 from .online import OnlineStepPolicy, run_online
 from .prediction import blind_follow, prediction_error
 
@@ -143,18 +142,22 @@ def _typed_field(cls, key: str, text: str) -> tuple[str, object]:
 
     Keys are case-insensitive; ``t`` and ``slack`` stand for ``horizon``
     and ``max_slack``. The value is typed by the field's annotation: int,
-    float, a comma-separated tuple of either or of text, or text.
+    float, a comma-separated tuple of either or of text, or text. A value
+    that does not convert raises ValueError naming the key.
     """
     name = key.strip().lower()
     name = _KEY_ALIASES.get(name, name)
     kind = get_type_hints(cls).get(name)
     if kind is None:
         raise ValueError(f"unknown key {key.strip()!r}")
-    if get_origin(kind) is tuple:
-        item = get_args(kind)[0]
-        return name, tuple(item(v.strip()) for v in text.split(","))
-    text = text.strip()
-    return name, kind(text) if kind in (int, float) else text
+    try:
+        if get_origin(kind) is tuple:
+            item = get_args(kind)[0]
+            return name, tuple(item(v.strip()) for v in text.split(","))
+        text = text.strip()
+        return name, kind(text) if kind in (int, float) else text
+    except ValueError as exc:
+        raise ValueError(f"key {key.strip()!r}: {exc}") from None
 
 
 def parse_generator_spec(text: str, seed: Optional[int] = None) -> GeneratorSpec:
@@ -238,11 +241,14 @@ def ingest_snap_events(
     one instance each: timestamps are quantized linearly into release
     slots 1..slots_per_day and weights/deadlines are synthesized with the
     per-day-seeded agreeable models. Raises ValueError, before the file
-    is read, unless slots_per_day >= 1 and the band's lo <= hi.
+    is read, unless slots_per_day >= 1, the band's lo <= hi and
+    ts_col >= 0.
     """
     lo, hi = band
     if slots_per_day < 1:
         raise ValueError(f"slots_per_day must be >= 1, got {slots_per_day!r}")
+    if ts_col < 0:
+        raise ValueError(f"ts_col must be >= 0, got {ts_col!r}")
     if lo > hi:
         raise ValueError(f"band must have lo <= hi, got {band!r}")
     events: list[int] = []
@@ -369,7 +375,11 @@ class ExperimentConfig:
 
 
 def parse_config_file(path: Path | str) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file; ``#`` starts a comment."""
+    """Read a flat ``key = value`` config file; ``#`` starts a comment.
+
+    Raises ValueError naming every required key (``dataset``, ``sweep``,
+    ``values``) that the file leaves out.
+    """
     fields: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -384,6 +394,13 @@ def parse_config_file(path: Path | str) -> ExperimentConfig:
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from exc
             fields[name] = typed
+    missing = [
+        f.name
+        for f in dataclass_fields(ExperimentConfig)
+        if f.default is MISSING and f.name not in fields
+    ]
+    if missing:
+        raise ValueError(f"missing required key(s): {', '.join(missing)}")
     return ExperimentConfig(**fields)
 
 
@@ -417,8 +434,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
 
     The trials are built once: one generated realization per trial, seeded
     per trial, or the qualifying days of an event log. Every sweep value
-    reuses them, so curves compare like against like, and each is solved
-    once for the optimum its ratios divide. Perturbations are seeded per
+    reuses them, so curves compare like against like. Each realization's
+    prefix-optimum series is solved once: the prediction error reads it,
+    ``lap`` reads it, and its last value, the full optimum's weight, is
+    what the ratios divide. Perturbations are seeded per
     (sweep value, trial). Only ``lap`` and ``blind`` read the prediction,
     so they run at every sweep value; every other algorithm runs once per
     trial, and its rows at every sweep value repeat that run's ratio and
@@ -448,7 +467,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
             seed=derive_seed(config.seed, "ingest"),
             ts_col=config.ts_col,
         )
-    optima = [schedule_weight(opt_schedule(r)) for r in realizations]
+    optima = [r.prefix_opt[-1] for r in realizations]
     rho, fallback = 1.0 + config.rho_excess, config.spelled(config.fallback)
 
     def ratio_and_runtime(

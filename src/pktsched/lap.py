@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import _FOLD, Instance, Job, Schedule, exact_terms
-from .offline import prefix_opt_series
 from .online import Buffer, OnlineStepPolicy
 from .prediction import build_choices
 
@@ -100,16 +99,17 @@ def lap_run(
 ) -> tuple[Schedule, LapTrace]:
     """Run the learning-augmented scheduler over the realization's slots.
 
-    The prediction's optimal choices are computed upfront; the prefix
-    optimum of the realization is shared (cached) across runs on the same
-    realization. The schedule and trace span the realization's horizon:
+    The prediction's optimal choices are computed upfront. The
+    realization's prefix-optimum series is ``realization.prefix_opt``,
+    solved on the first run and shared by every later run on the same
+    ``Instance``. The schedule and trace span the realization's horizon:
     no realized job is feasible after it, whatever the prediction's.
     Past 64 processed weights the list is folded by ``exact_terms`` before
     a local test reads it; its exact sum, hence every ratio, is unchanged.
     """
     check_threshold(rho)
     choices = build_choices(prediction)
-    series = prefix_opt_series(realization)
+    series = realization.prefix_opt
     buffer = Buffer(realization)
     processed_weights: list[float] = []
     slots: list[Optional[Job]] = []

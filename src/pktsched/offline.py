@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from functools import lru_cache
 from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -281,7 +280,6 @@ def brute_force_opt(instance: Instance) -> tuple[float, Schedule]:
     return schedule_weight(schedule), schedule
 
 
-@lru_cache(maxsize=64)
 def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     """Prefix-optimum weights for every t in [0, horizon].
 

@@ -16,7 +16,7 @@ import math
 from typing import Optional
 
 from .core import _FOLD, Instance, Job, Schedule, exact_terms, feasible_at
-from .offline import opt_schedule, prefix_opt_series
+from .offline import opt_schedule
 
 
 def build_choices(prediction: Instance) -> tuple[Optional[str], ...]:
@@ -59,7 +59,7 @@ def prediction_error(realization: Instance, prediction: Instance) -> float:
     weights the list is folded by ``exact_terms`` before it is summed,
     which leaves every denominator unchanged.
     """
-    series = prefix_opt_series(realization)
+    series = realization.prefix_opt
     followed = apply_choices(build_choices(prediction), realization)
     collected: list[float] = []
     ratios: list[float] = []

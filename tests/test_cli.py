@@ -170,8 +170,8 @@ def test_unreadable_instance_exits_with_one_line(tmp_path, j2, make, message, co
     assert capsys.readouterr() == ("", "")
 
 
-def _config(tmp_path, text):
-    path = tmp_path / "bad.cfg"
+def _config(tmp_path, text, name="bad.cfg"):
+    path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
 
@@ -180,23 +180,36 @@ def _config(tmp_path, text):
     "command, message",
     [(["run", "--algo", "lap", "--real", "{good}", "--pred", "{good}",
        "--trace", "{tmp}/nodir/t.csv"], "{tmp}/nodir/t.csv: No such file or directory"),
+     (["run", "--algo", "lap", "--real", "{tmp}/missing.csv"], "--algo lap requires --pred"),
+     (["run", "--algo", "blind", "--real", "{tmp}/missing.csv"], "--algo blind requires --pred"),
+     (["run", "--algo", "greedy", "--real", "{tmp}/missing.csv", "--trace", "{tmp}/t.csv"],
+      "--trace is only meaningful with --algo lap"),
      (["gen", "--spec", "uniform:T=5", "--out", "{tmp}/nodir/x.csv"],
       "{tmp}/nodir/x.csv: No such file or directory"),
      (["gen", "--spec", "bogus:T=5", "--out", "{tmp}/x.csv"], "unknown generator kind 'bogus'"),
-     (["gen", "--spec", "uniform:T=abc", "--out", "{tmp}/x.csv"], "invalid literal for int() with base 10: 'abc'"),
+     (["gen", "--spec", "uniform:T=abc", "--out", "{tmp}/x.csv"], "key 'T': invalid literal for int() with base 10: 'abc'"),
      (["experiment", "--config", "{tmp}/nope.cfg"], "{tmp}/nope.cfg: No such file or directory"),
      (["experiment", "--config", "{bogus_cfg}"], "line 1: unknown key 'bogus'"),
+     (["experiment", "--config", "{short_cfg}"], "missing required key(s): values"),
      (["ingest", "--in", "{tmp}/missing.txt", "--out-dir", "{tmp}/days"],
       "{tmp}/missing.txt: No such file or directory"),
      (["ingest", "--in", "{tmp}/missing.txt", "--out-dir", "{tmp}/days", "--slots-per-day", "0"],
-      "slots_per_day must be >= 1, got 0")],
-    ids=["run-trace", "gen-out", "gen-kind", "gen-value", "experiment-missing",
-         "experiment-key", "ingest-missing", "ingest-slots"],
+      "slots_per_day must be >= 1, got 0"),
+     (["ingest", "--in", "{tmp}/missing.txt", "--out-dir", "{tmp}/days", "--ts-col", "-3"],
+      "ts_col must be >= 0, got -3")],
+    ids=["run-trace", "run-lap-no-pred", "run-blind-no-pred", "run-trace-not-lap", "gen-out",
+         "gen-kind", "gen-value", "experiment-missing", "experiment-key",
+         "experiment-no-values", "ingest-missing", "ingest-slots", "ingest-ts-col"],
 )
 def test_unusable_path_or_option_exits_with_one_line(tmp_path, j2, command, message, capsys):
     good = tmp_path / "good.csv"
     write_instance_csv(j2, good)
-    names = {"good": good, "tmp": tmp_path, "bogus_cfg": _config(tmp_path, "bogus = 1\n")}
+    names = {
+        "good": good,
+        "tmp": tmp_path,
+        "bogus_cfg": _config(tmp_path, "bogus = 1\n"),
+        "short_cfg": _config(tmp_path, "dataset = uniform\nsweep = sigma\n", "short.cfg"),
+    }
     argv = [a.format(**names) for a in command]
     pattern = re.escape(f"pktsched {argv[0]}: {message.format(**names)}")
     with pytest.raises(SystemExit, match=f"^{pattern}$") as exc:

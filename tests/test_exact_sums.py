@@ -160,11 +160,12 @@ def _huge_instance(rng):
     return Instance.of(jobs, horizon)
 
 
-def _outcome(call):
-    """The call's result, or the text of the OverflowError it raised."""
-    prefix_opt_series.cache_clear()
+def _outcome(call, inst):
+    """``call`` on a fresh copy of ``inst``, so it solves the series itself
+    rather than read a memo: its result, or the text of the OverflowError
+    it raised."""
     try:
-        return call()
+        return call(Instance(inst.jobs, inst.horizon))
     except OverflowError as exc:
         return f"OverflowError: {exc}"
 
@@ -172,10 +173,10 @@ def _outcome(call):
 def _outcomes(cases):
     found = []
     for inst, pred in cases:
-        found.append(_outcome(lambda: prefix_opt_series(inst)))
-        found.append(_outcome(lambda: prediction_error(inst, pred)))
+        found.append(_outcome(prefix_opt_series, inst))
+        found.append(_outcome(lambda real: prediction_error(real, pred), inst))
         for fallback in FALLBACKS:
-            found.append(_outcome(lambda: lap_run(pred, inst, 1.1, fallback)))
+            found.append(_outcome(lambda real: lap_run(pred, real, 1.1, fallback), inst))
     return found
 
 
@@ -191,7 +192,6 @@ def test_overflow_matches_unfolded_sums(monkeypatch):
     for module in (offline, prediction, lap):
         monkeypatch.setattr(module, "_FOLD", 10**9)
     unfolded = _outcomes(cases)
-    prefix_opt_series.cache_clear()
     assert folded == unfolded
     raised = [o for o in folded if isinstance(o, str)]
     assert set(raised) == {"OverflowError: intermediate overflow in fsum"}

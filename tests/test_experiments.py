@@ -31,7 +31,7 @@ from pktsched import (
     run_online,
     schedule_weight,
 )
-from pktsched import experiments
+from pktsched import experiments, offline
 from pktsched.core import write_instance_csv
 from pktsched.experiments import (
     derive_seed,
@@ -210,8 +210,9 @@ def test_ingest_errors(tmp_path):
     "kwargs, message",
     [({"slots_per_day": 0}, "slots_per_day must be >= 1, got 0"),
      ({"slots_per_day": -3}, "slots_per_day must be >= 1, got -3"),
-     ({"band": (500, 300)}, r"band must have lo <= hi, got \(500, 300\)")],
-    ids=["slots-zero", "slots-negative", "band-reversed"],
+     ({"band": (500, 300)}, r"band must have lo <= hi, got \(500, 300\)"),
+     ({"ts_col": -3}, "ts_col must be >= 0, got -3")],
+    ids=["slots-zero", "slots-negative", "band-reversed", "ts-col-negative"],
 )
 def test_ingest_rejects_bad_arguments_before_reading(tmp_path, kwargs, message):
     # The file does not exist: an argument checked after the read would
@@ -352,6 +353,22 @@ def test_prediction_free_rows_repeat_their_trials_run():
             schedule = run_online(OnlineStepPolicy.parse(name), realization)
             assert rows[0][0] == competitive_ratio(realization, schedule, best)
         assert len(seen[trial, "lap"]) == 3
+
+
+def test_sweep_solves_each_realizations_series_once(monkeypatch):
+    # Every sweep value, the prediction error, lap and the optimum the
+    # ratios divide read one series per realization, however many trials.
+    solved = []
+    original = offline.prefix_opt_series
+
+    def counted(instance):
+        solved.append(instance)
+        return original(instance)
+
+    monkeypatch.setattr(offline, "prefix_opt_series", counted)
+    records = run_experiment(_tiny_config(trials=70, values=(0.0, 0.2, 0.5)))
+    assert len(records) == 70 * 3 * 3
+    assert len(solved) == 70 and len({id(inst) for inst in solved}) == 70
 
 
 def test_series_rows_grouping():
@@ -502,8 +519,21 @@ def test_readme_sweep_config_parses(tmp_path):
 def test_config_file_errors_carry_line_numbers(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("dataset = uniform\ntrials = ten\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(ParseError, match="^line 2: key 'trials': invalid literal for int"):
         parse_config_file(cfg)
     cfg.write_text("dataset = uniform\nrho = 0.1\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 2: unknown key 'rho'"):
+        parse_config_file(cfg)
+
+
+@pytest.mark.parametrize(
+    "text, missing",
+    [("dataset = uniform\nsweep = sigma\n", "values"),
+     ("", "dataset, sweep, values")],
+    ids=["no-values", "empty"],
+)
+def test_config_file_names_missing_keys(tmp_path, text, missing):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^missing required key\\(s\\): {missing}$"):
         parse_config_file(cfg)

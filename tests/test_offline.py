@@ -237,7 +237,7 @@ def test_prefix_dominance_of_full_optimum():
 
 
 def test_prefix_series_cached(j2):
-    assert prefix_opt_series(j2) is prefix_opt_series(j2)
+    assert j2.prefix_opt is j2.prefix_opt == prefix_opt_series(j2)
 
 
 def test_long_augmenting_chain():

@@ -12,6 +12,7 @@ from pktsched import (
     Instance,
     Job,
     OnlineStepPolicy,
+    blind_follow,
     brute_force_opt,
     edf_alpha_step,
     edf_step,
@@ -20,6 +21,7 @@ from pktsched import (
     lap_run,
     mg_step,
     pending_set,
+    prediction_error,
     run_online,
     schedule_weight,
     validate_schedule,
@@ -210,20 +212,32 @@ def test_lap_trace_unchanged_under_set_scan_rules(monkeypatch, fallback):
 def test_run_loop_never_hashes_a_job(monkeypatch):
     # The buffer keys its pending jobs by id: a Job's dataclass hash is a
     # Python-level call, so no admission, expiry, heap read or take pays
-    # for it. lap_run is left out: prefix_opt_series's cache key hashes the
-    # instance.
+    # for it. The prefix-optimum series is memoized on its instance, so
+    # reading it hashes nothing either.
     instances = (
         generate(GeneratorSpec("uniform", horizon=60, seed=5)),
         # Overloaded: most jobs expire unrun, so stale heap tops are common.
         generate(GeneratorSpec("powerlaw", horizon=20, a=30, m=100, max_slack=12, seed=6)),
     )
+    cases = [
+        (inst, pred)
+        for k, inst in enumerate(instances)
+        for pred in (inst, *(adversarial_prediction(inst, kind, seed=k)
+                             for kind in ("reversed", "shifted")))
+    ]
+    policies = (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5))
 
     def hashed(job):
         raise AssertionError("Job hashed")
 
     monkeypatch.setattr(Job, "__hash__", hashed)
+    for inst, pred in cases:
+        assert prediction_error(inst, pred) >= 1.0
+        assert validate_schedule(inst, blind_follow(pred, inst))[0]
+        for fallback in policies:
+            assert validate_schedule(inst, lap_run(pred, inst, 1.1, fallback)[0])[0]
     for inst in instances:
-        for policy in (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)):
+        for policy in policies:
             assert validate_schedule(inst, run_online(policy, inst))[0]
         buffer = Buffer(inst)
         for t in range(inst.horizon + 1):
