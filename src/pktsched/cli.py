@@ -104,7 +104,13 @@ def _cmd_run(args) -> int:
             write_trace_csv(trace, args.trace)
     print(f"# algorithm={args.algo}")
     print(f"# weight={schedule_weight(schedule)!r}")
-    best = schedule_weight(opt_schedule(realization))
+    # With a prediction the eta line below needs the realization's series
+    # anyway, and its last value is the optimum's weight bit for bit.
+    # Without one, a single solve is cheaper than the series.
+    if predicted is not None:
+        best = realization.prefix_opt[-1]
+    else:
+        best = schedule_weight(opt_schedule(realization))
     print(f"# competitive_ratio={competitive_ratio(realization, schedule, best)!r}")
     if predicted is not None:
         print(f"# eta={prediction_error(realization, predicted)!r}")

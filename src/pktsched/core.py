@@ -121,6 +121,16 @@ class Instance:
 
         return prefix_opt_series(self)
 
+    @cached_property
+    def optimum(self) -> "Schedule":
+        """The canonical maximum-weight schedule of this instance, solved on
+        first read and kept with it, so each ``Instance`` is solved at most
+        once however many callers read its optimum."""
+        # Imported here, as in prefix_opt: a rebound _optimal_ids is run.
+        from .offline import _optimal_ids
+
+        return canonicalize(self, _optimal_ids(self))
+
 
 @dataclass(frozen=True)
 class Schedule:

@@ -438,10 +438,13 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     prefix-optimum series is solved once: the prediction error reads it,
     ``lap`` reads it, and its last value, the full optimum's weight, is
     what the ratios divide. Perturbations are seeded per
-    (sweep value, trial). Only ``lap`` and ``blind`` read the prediction,
-    so they run at every sweep value; every other algorithm runs once per
-    trial, and its rows at every sweep value repeat that run's ratio and
-    wall time (``runtime_s``).
+    (sweep value, trial). Each prediction's optimum is solved once, by the
+    prediction error (``Instance.optimum``); ``lap`` and ``blind`` read it,
+    so their wall time (``runtime_s``) leaves that solve out, as it leaves
+    out the realization's series. Only ``lap`` and ``blind`` read the
+    prediction, so they run at every sweep value; every other algorithm
+    runs once per trial, and its rows at every sweep value repeat that
+    run's ratio and wall time.
     """
     if config.dataset in ("uniform", "powerlaw"):
         realizations = [

@@ -99,7 +99,9 @@ def lap_run(
 ) -> tuple[Schedule, LapTrace]:
     """Run the learning-augmented scheduler over the realization's slots.
 
-    The prediction's optimal choices are computed upfront. The
+    The prediction's optimal choices are computed upfront from
+    ``opt_schedule(prediction)``, which solves each ``Instance`` once, so a
+    prediction whose error was measured is not solved again. The
     realization's prefix-optimum series is ``realization.prefix_opt``,
     solved on the first run and shared by every later run on the same
     ``Instance``. The schedule and trace span the realization's horizon:

@@ -238,8 +238,12 @@ def _optimal_ids(instance: Instance) -> set[str]:
 
 
 def opt_schedule(instance: Instance) -> Schedule:
-    """Canonical maximum-weight schedule for the instance."""
-    return canonicalize(instance, _optimal_ids(instance))
+    """Canonical maximum-weight schedule for the instance.
+
+    Returns ``instance.optimum``: the instance is solved on the first call
+    and every later call on the same ``Instance`` returns that schedule.
+    """
+    return instance.optimum
 
 
 def brute_force_opt(instance: Instance) -> tuple[float, Schedule]:

@@ -20,7 +20,12 @@ from .offline import opt_schedule
 
 
 def build_choices(prediction: Instance) -> tuple[Optional[str], ...]:
-    """Per-slot ids of the prediction's canonical optimal schedule."""
+    """Per-slot ids of the prediction's canonical optimal schedule.
+
+    The optimum is ``opt_schedule(prediction)``, solved once per
+    ``Instance``: the error metric and LAP build their choices from the
+    same kept schedule.
+    """
     return tuple(j.id if j is not None else None for j in opt_schedule(prediction).slots)
 
 

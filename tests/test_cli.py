@@ -2,7 +2,17 @@ import re
 
 import pytest
 
-from pktsched import read_instance_csv, write_instance_csv
+from pktsched import (
+    GeneratorSpec,
+    PerturbationSpec,
+    generate,
+    offline,
+    opt_schedule,
+    perturb,
+    read_instance_csv,
+    schedule_weight,
+    write_instance_csv,
+)
 from pktsched.cli import main
 
 
@@ -56,6 +66,43 @@ def test_run_benchmarks(tmp_path, j2, capsys):
                          ("edf-alpha:0.5", "1.999")):
         assert main(["run", "--algo", algo, "--real", str(real)]) == 0
         assert f"# weight={weight}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "algo, with_pred", [("lap", True), ("blind", True), ("mg", False)]
+)
+def test_run_solves_one_optimum(tmp_path, monkeypatch, capsys, algo, with_pred):
+    # With a prediction, run solves the prediction's optimum once (its
+    # choices serve the algorithm and the eta line) and the realization's
+    # series once, whose last value is the ratio's optimum. Without one it
+    # solves the realization's optimum and builds no series.
+    real_inst = generate(GeneratorSpec("uniform", horizon=30, lo=1, hi=4, seed=3))
+    pred_inst = perturb(real_inst, PerturbationSpec("weight-gauss", sigma=0.2, seed=4))
+    real, pred = tmp_path / "real.csv", tmp_path / "pred.csv"
+    write_instance_csv(real_inst, real)
+    write_instance_csv(pred_inst, pred)
+    solved, series = [], []
+    original_ids, original_series = offline._optimal_ids, offline.prefix_opt_series
+
+    def counted_ids(instance):
+        solved.append(instance)
+        return original_ids(instance)
+
+    def counted_series(instance):
+        series.append(instance)
+        return original_series(instance)
+
+    monkeypatch.setattr(offline, "_optimal_ids", counted_ids)
+    monkeypatch.setattr(offline, "prefix_opt_series", counted_series)
+    argv = ["run", "--algo", algo, "--real", str(real)]
+    assert main(argv + (["--pred", str(pred)] if with_pred else [])) == 0
+    assert solved == [pred_inst if with_pred else real_inst]
+    assert series == ([real_inst] if with_pred else [])
+    # The printed ratio is the optimum's weight over the schedule's.
+    out = capsys.readouterr().out
+    weight = float(re.search(r"^# weight=(.*)$", out, re.M).group(1))
+    ratio = float(re.search(r"^# competitive_ratio=(.*)$", out, re.M).group(1))
+    assert ratio == schedule_weight(opt_schedule(real_inst)) / weight
 
 
 def test_run_lap_requires_pred(tmp_path, j2):

@@ -371,6 +371,31 @@ def test_sweep_solves_each_realizations_series_once(monkeypatch):
     assert len(solved) == 70 and len({id(inst) for inst in solved}) == 70
 
 
+def test_sweep_solves_each_prediction_once(monkeypatch):
+    # The prediction error and lap and blind all read the prediction's
+    # optimum: one solve per prediction, at sigma = 0 too, where the
+    # prediction is the realization itself.
+    solved, predictions = [], []
+    original_ids, original_perturb = offline._optimal_ids, experiments.perturb
+
+    def counted_ids(instance):
+        solved.append(instance)
+        return original_ids(instance)
+
+    def kept_perturb(instance, spec):
+        predictions.append(original_perturb(instance, spec))
+        return predictions[-1]
+
+    monkeypatch.setattr(offline, "_optimal_ids", counted_ids)
+    monkeypatch.setattr(experiments, "perturb", kept_perturb)
+    config = _tiny_config(
+        trials=70, values=(0.0, 0.2, 0.5), algorithms=("lap", "blind", "greedy")
+    )
+    assert len(run_experiment(config)) == 70 * 3 * 3
+    assert len(predictions) == 70 * 3
+    assert [id(inst) for inst in solved] == [id(inst) for inst in predictions]
+
+
 def test_series_rows_grouping():
     records = run_experiment(_tiny_config())
     rows = series_rows(records)

@@ -17,7 +17,7 @@ from pktsched import (
 )
 from pktsched.core import heavier_first
 from pktsched.offline import BRUTE_FORCE_MAX_HORIZON, BRUTE_FORCE_MAX_JOBS, _SlotMatching
-from conftest import TIED_WEIGHTS, edge_shape_instances, mk, random_instance
+from conftest import TIED_WEIGHTS, edge_shape_instances, long_instance, mk, random_instance
 from reference import greedy_edf_ids, prefix_weight, release_prefix, resolved_prefix_opt
 
 
@@ -238,6 +238,34 @@ def test_prefix_dominance_of_full_optimum():
 
 def test_prefix_series_cached(j2):
     assert j2.prefix_opt is j2.prefix_opt == prefix_opt_series(j2)
+
+
+def _ratio_source_corpus(rng):
+    for _ in range(60):
+        yield random_instance(rng, max_jobs=14, max_horizon=10)
+        yield random_instance(rng, max_jobs=20, max_horizon=10, weights=TIED_WEIGHTS)
+    yield from edge_shape_instances(rng, rounds=20)
+    for seed in range(3):
+        yield generate(
+            GeneratorSpec("powerlaw", horizon=30, a=30, m=500, max_slack=25, seed=seed)
+        )
+    for horizon in (40, 200, 400):
+        yield long_instance(rng, horizon)
+
+
+def test_series_end_is_the_optimum_weight_and_the_optimum_is_kept():
+    # pktsched run divides by prefix_opt[-1] when a prediction was given
+    # and by the optimum's weight otherwise: the two must agree bit for bit.
+    rng = random.Random(151)
+    for inst in _ratio_source_corpus(rng):
+        assert inst.prefix_opt[-1] == schedule_weight(opt_schedule(inst))
+        assert opt_schedule(inst) is opt_schedule(inst) is inst.optimum
+        # A kept optimum is not part of the value: an unsolved twin still
+        # compares and hashes equal.
+        twin = Instance.of(inst.jobs, inst.horizon)
+        assert "optimum" not in vars(twin)
+        assert twin == inst and hash(twin) == hash(inst)
+        assert opt_schedule(twin) == opt_schedule(inst)
 
 
 def test_long_augmenting_chain():
