@@ -32,8 +32,8 @@ from .online import OnlineStepPolicy
 from .prediction import prediction_error
 
 
-def _print_schedule(schedule: Schedule, out=None) -> None:
-    writer = csv.writer(out or sys.stdout, lineterminator="\n")
+def _print_schedule(schedule: Schedule) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["slot", "job_id", "weight"])
     for t, job in enumerate(schedule.slots):
         writer.writerow(

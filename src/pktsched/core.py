@@ -142,10 +142,6 @@ class Schedule:
 
     slots: tuple[Optional[Job], ...]
 
-    @property
-    def horizon(self) -> int:
-        return len(self.slots) - 1
-
     def job_ids(self) -> set[str]:
         return {j.id for j in self.slots if j is not None}
 

@@ -523,17 +523,11 @@ def series_rows(
     records: list[ResultRecord],
 ) -> list[tuple[float, str, float, float]]:
     """Per (sweep value, algorithm) mean ratio and standard error."""
-    order: list[tuple[float, str]] = []
     grouped: dict[tuple[float, str], list[float]] = {}
     for r in records:
-        key = (r.sweep_value, r.algorithm)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(r.ratio)
+        grouped.setdefault((r.sweep_value, r.algorithm), []).append(r.ratio)
     rows = []
-    for key in order:
-        ratios = grouped[key]
+    for key, ratios in grouped.items():
         n = len(ratios)
         mean = math.fsum(ratios) / n
         if n > 1:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import _FOLD, Instance, Job, Schedule, exact_terms
-from .online import Buffer, OnlineStepPolicy
+from .core import _FOLD, Instance, Schedule, exact_terms
+from .online import Buffer, OnlineStepPolicy, drive
 from .prediction import build_choices
 
 PREDICTION = "prediction"
@@ -112,14 +112,13 @@ def lap_run(
     check_threshold(rho)
     choices = build_choices(prediction)
     series = realization.prefix_opt
-    buffer = Buffer(realization)
     processed_weights: list[float] = []
-    slots: list[Optional[Job]] = []
     rows: list[LapSlot] = []
-    for t in range(realization.horizon + 1):
+
+    def pick(t: int, buffer: Buffer) -> Optional[str]:
         cid = choices[t] if t < len(choices) else None
         # Pending means released, unprocessed and feasible at t.
-        predicted = buffer.at(t).jobs.get(cid)
+        predicted = buffer.jobs.get(cid)
         ratio: Optional[float] = None
         source = ONLINE
         if predicted is not None:
@@ -130,21 +129,19 @@ def lap_run(
             )
             if passed:
                 source = PREDICTION
-        pick = cid if source == PREDICTION else policy.step(buffer)
-        chosen = buffer.take(pick) if pick is not None else None
-        if chosen is not None:
-            processed_weights.append(chosen.weight)
-        slots.append(chosen)
+        job_id = cid if source == PREDICTION else policy.step(buffer)
+        weight = 0.0
+        if job_id is not None:
+            # KeyError, as drive raises, if the fallback names no pending job.
+            weight = buffer.jobs[job_id].weight
+            processed_weights.append(weight)
         rows.append(
-            LapSlot(
-                t=t,
-                source=source,
-                job_id=chosen.id if chosen is not None else None,
-                weight=chosen.weight if chosen is not None else 0.0,
-                local_ratio=ratio,
-            )
+            LapSlot(t=t, source=source, job_id=job_id, weight=weight, local_ratio=ratio)
         )
-    return Schedule(tuple(slots)), LapTrace(rho, tuple(rows))
+        return job_id
+
+    schedule = drive(realization, pick)
+    return schedule, LapTrace(rho, tuple(rows))
 
 
 def write_trace_csv(trace: LapTrace, path: Path | str) -> None:

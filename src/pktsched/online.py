@@ -3,11 +3,12 @@
 Each step rule is memoryless: given the current buffer of feasible,
 unprocessed jobs it picks one job id (or none). That makes the rules
 usable standalone and as the fallback inside the learning-augmented
-scheduler, which may hand over mid-stream. A run keeps its buffer in a
-:class:`Buffer`, whose ``jobs`` map (id to job) ``at`` and ``take`` change
-only by the jobs released, expiring or run at each slot. Two heaps index
-it, so greedy, EDF and MG pick in O(log n) amortized per step over an
-n-job run instead of scanning the b buffered jobs; EDF-alpha still scans.
+scheduler, which may hand over mid-stream. :func:`drive` runs the slots
+of every online run, LAP's too: it keeps a :class:`Buffer`, whose ``jobs``
+map (id to job) changes only by the jobs released, expiring or run at each
+slot. Two heaps index it, so greedy, EDF and MG pick in O(log n) amortized
+per step over an n-job run instead of scanning the b buffered jobs;
+EDF-alpha still scans.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import Instance, Job, Schedule, edf_first, heavier_first
 
@@ -30,8 +31,9 @@ class Buffer:
     """The pending jobs of one run: released, not run, not yet expired.
 
     ``jobs`` maps each pending job's id to the job and is the only record
-    of what is pending. Call :meth:`at` for slots 0, 1, 2, ... in turn and
-    :meth:`take` every job that runs; then ``jobs`` after ``at(t)`` holds
+    of what is pending. :func:`drive` runs the slots: it calls :meth:`at`
+    for slots 0, 1, 2, ... in turn and pops every job that runs from
+    ``jobs``, so ``jobs`` after ``at(t)`` holds
     ``core.pending_set(instance, run_so_far, t)``. A release-ordered cursor
     admits jobs and a deadline-bucket map drops each id at slot
     ``deadline``, so a slot costs only what changes at it.
@@ -72,11 +74,6 @@ class Buffer:
         for job_id in self._expiring.pop(t, ()):
             jobs.pop(job_id, None)
         return self
-
-    def take(self, job_id: str) -> Job:
-        """Remove and return the pending job that runs now; KeyError if
-        no pending job has this id."""
-        return self.jobs.pop(job_id)
 
     def heaviest(self) -> Optional[Job]:
         """First pending job in ``heavier_first`` order; None if empty."""
@@ -188,11 +185,25 @@ EDF = OnlineStepPolicy("edf")
 MG = OnlineStepPolicy("mg")
 
 
-def run_online(policy: OnlineStepPolicy, instance: Instance) -> Schedule:
-    """Drive a step policy over every slot of the instance."""
+def drive(
+    instance: Instance, pick: Callable[[int, Buffer], Optional[str]]
+) -> Schedule:
+    """Run the online model over slots 0..horizon of the instance.
+
+    At each slot t the buffer admits the jobs released by t and drops those
+    expiring at t; then ``pick(t, buffer)`` names the pending job that runs
+    in slot t, or None to leave the slot empty. The named job leaves
+    ``buffer.jobs``; KeyError if no pending job has that id.
+    """
     buffer = Buffer(instance)
+    jobs = buffer.jobs
     slots: list[Optional[Job]] = []
     for t in range(instance.horizon + 1):
-        pick = policy.step(buffer.at(t))
-        slots.append(buffer.take(pick) if pick is not None else None)
+        job_id = pick(t, buffer.at(t))
+        slots.append(jobs.pop(job_id) if job_id is not None else None)
     return Schedule(tuple(slots))
+
+
+def run_online(policy: OnlineStepPolicy, instance: Instance) -> Schedule:
+    """Drive a step policy over every slot of the instance."""
+    return drive(instance, lambda t, buffer: policy.step(buffer))

@@ -26,7 +26,7 @@ from pktsched import (
     schedule_weight,
     validate_schedule,
 )
-from pktsched.online import Buffer
+from pktsched.online import Buffer, drive
 from conftest import (
     TIED_WEIGHTS,
     adversarial_prediction,
@@ -146,7 +146,7 @@ def test_buffer_matches_pending_set():
                 job = inst.by_id[policy.step(buffer)]
             else:
                 job = rng.choice(sorted(pending.values(), key=lambda j: j.id))
-            buffer.take(job.id)
+            buffer.jobs.pop(job.id)
             processed.add(job.id)
 
 
@@ -185,7 +185,7 @@ def test_indexed_rules_match_set_scan():
                 job = inst.by_id[rng.choice(picks)]
             else:
                 job = rng.choice(sorted(jobs.values(), key=lambda j: j.id))
-            buffer.take(job.id)
+            buffer.jobs.pop(job.id)
 
 
 @pytest.mark.parametrize("fallback", [GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)])
@@ -246,7 +246,7 @@ def test_run_loop_never_hashes_a_job(monkeypatch):
                 assert buffer.heaviest() is not None and buffer.earliest() is not None
                 # An arbitrary pending job, as LAP takes when it follows
                 # the prediction.
-                buffer.take(min(jobs))
+                buffer.jobs.pop(min(jobs))
 
 
 def test_run_online_examples(j2):
@@ -261,6 +261,46 @@ def test_run_online_examples(j2):
     empty = Instance.of([])
     for policy in (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)):
         assert all(j is None for j in run_online(policy, empty).slots)
+
+
+def test_drive_calls_pick_once_per_slot_after_at():
+    # Slots 0..4 in order, each with the one buffer after at(t): a expires
+    # at 1, b and c at 2, and nothing is pending after that.
+    inst = mk([("a", 0, 1, 0.01), ("b", 0, 2, 1.0), ("c", 1, 2, 0.999)], horizon=4)
+    for runs in ({}, {0: "a", 1: "b"}, {1: "c"}):
+        calls, buffers, done = [], set(), set()
+
+        def pick(t, buffer):
+            assert buffer.jobs == {j.id: j for j in pending_set(inst, done, t)}
+            calls.append(t)
+            buffers.add(id(buffer))
+            job_id = runs.get(t)
+            if job_id is not None:
+                done.add(job_id)
+            return job_id
+
+        schedule = drive(inst, pick)
+        assert calls == [0, 1, 2, 3, 4] and len(buffers) == 1
+        # A None pick leaves its slot empty and the buffer as it was.
+        assert [j.id if j else None for j in schedule.slots] == [
+            runs.get(t) for t in range(5)
+        ]
+
+
+@pytest.mark.parametrize("stale", ["a", "b"])
+def test_drive_raises_on_a_pick_that_is_not_pending(monkeypatch, j2, stale):
+    # greedy_step names b at slot 0 and then a job that is no longer
+    # pending at slot 1: a has expired, b has run.
+    import pktsched.online as online
+
+    monkeypatch.setattr(
+        online, "greedy_step", lambda buffer: "b" if "a" in buffer.jobs else stale
+    )
+    with pytest.raises(KeyError):
+        run_online(GREEDY, j2)
+    # An empty prediction hands every slot to the fallback.
+    with pytest.raises(KeyError):
+        lap_run(Instance.of([]), j2, 1.0, GREEDY)
 
 
 def test_run_online_always_valid():
