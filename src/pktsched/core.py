@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import attrgetter, eq, lt
@@ -34,9 +34,43 @@ class ParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True, slots=True)
-class Job:
-    """One unit-length packet.
+class _Record:
+    """Base of the package's immutable records: ``Job`` and ``lap.LapSlot``.
+
+    A record is a ``@dataclass(slots=True, unsafe_hash=True)`` with its own
+    ``__init__``, which validates its arguments and stores each one through
+    its slot descriptor's ``__set__`` (:func:`_slot_setters`). That builds a
+    record at about the cost of a plain slots class, where ``frozen=True``
+    pays an ``object.__setattr__`` call per field. Assigning or deleting a
+    field raises ``FrozenInstanceError``, as on a frozen dataclass.
+    ``fields``, ``replace`` (which re-validates), ``repr``, ``==`` and
+    ``hash`` are the dataclass's own, so a record never equals a plain
+    tuple; ``unsafe_hash=True`` keeps the field hash that a dataclass which
+    is not frozen would otherwise drop. ``__reduce__`` rebuilds the record
+    through ``__init__``, so pickle and ``copy`` never reach the raising
+    ``__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in field order."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Job(_Record):
+    """One unit-length packet: an immutable record (see :class:`_Record`).
 
     Feasible slots are release <= t <= deadline - 1, so every job has at
     least one (deadline >= release + 1). Weight is finite and nonnegative.
@@ -47,13 +81,20 @@ class Job:
     deadline: int
     weight: float
 
-    def __post_init__(self):
-        if self.release < 0:
-            raise ValueError(f"job {self.id!r}: release must be >= 0")
-        if self.deadline < self.release + 1:
-            raise ValueError(f"job {self.id!r}: deadline must be >= release + 1")
-        if not (math.isfinite(self.weight) and self.weight >= 0):
-            raise ValueError(f"job {self.id!r}: weight must be finite and >= 0")
+    def __init__(self, id: str, release: int, deadline: int, weight: float):
+        if release < 0:
+            raise ValueError(f"job {id!r}: release must be >= 0")
+        if deadline < release + 1:
+            raise ValueError(f"job {id!r}: deadline must be >= release + 1")
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(f"job {id!r}: weight must be finite and >= 0")
+        _set_id(self, id)
+        _set_release(self, release)
+        _set_deadline(self, deadline)
+        _set_weight(self, weight)
+
+
+_set_id, _set_release, _set_deadline, _set_weight = _slot_setters(Job)
 
 
 def feasible_at(job: Job, t: int) -> bool:
@@ -80,6 +121,11 @@ class Instance:
     the module docstring for how jobs are ordered). Build instances through
     :meth:`of`, which sorts the jobs and fills in the default horizon (the
     largest deadline).
+
+    What is derived from the instance is a ``cached_property``, built on
+    first read and kept with the instance: the id map, the release and
+    deadline orders every online run reads, the prefix-optimum series and
+    the optimum. No caller changes one, so every caller shares it.
     """
 
     jobs: tuple[Job, ...]
@@ -110,6 +156,16 @@ class Instance:
     @cached_property
     def by_id(self) -> dict[str, Job]:
         return {j.id: j for j in self.jobs}
+
+    @cached_property
+    def release_order(self) -> tuple[Job, ...]:
+        """The jobs by release; a release tie keeps id order."""
+        return tuple(sorted(self.jobs, key=attrgetter("release")))
+
+    @cached_property
+    def deadline_order(self) -> tuple[Job, ...]:
+        """The jobs by deadline; a deadline tie keeps id order."""
+        return tuple(sorted(self.jobs, key=attrgetter("deadline")))
 
     @cached_property
     def prefix_opt(self) -> tuple[float, ...]:

@@ -94,8 +94,10 @@ class GeneratorSpec:
             raise ValueError("horizon must be >= 1")
         if not 0 <= self.lo <= self.hi:
             raise ValueError("need 0 <= lo <= hi")
-        if self.a <= 0 or self.m < 0:
-            raise ValueError("need a > 0 and m >= 0")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"a must be finite and > 0, got {self.a!r}")
+        if not 0 <= self.m < math.inf:
+            raise ValueError(f"m must be finite and >= 0, got {self.m!r}")
         if self.max_slack < 1:
             raise ValueError("max_slack must be >= 1")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import _FOLD, Instance, Schedule, exact_terms
+from .core import _FOLD, Instance, Schedule, _Record, _slot_setters, exact_terms
 from .online import Buffer, OnlineStepPolicy, drive
 from .prediction import build_choices
 
@@ -29,10 +29,11 @@ class InvalidThreshold(ValueError):
     """The local-test threshold must be at least 1."""
 
 
-@dataclass(frozen=True)
-class LapSlot:
+@dataclass(slots=True, unsafe_hash=True)
+class LapSlot(_Record):
     """One slot of a run: who chose, what ran, and the test outcome.
 
+    An immutable record, built like ``core.Job`` (see ``core._Record``).
     ``local_ratio`` is None when the test was not evaluated (the predicted
     choice was a dummy, already processed, or infeasible at this slot).
     """
@@ -42,6 +43,23 @@ class LapSlot:
     job_id: Optional[str]
     weight: float
     local_ratio: Optional[float]
+
+    def __init__(
+        self,
+        t: int,
+        source: str,
+        job_id: Optional[str],
+        weight: float,
+        local_ratio: Optional[float],
+    ):
+        _set_t(self, t)
+        _set_source(self, source)
+        _set_job_id(self, job_id)
+        _set_weight(self, weight)
+        _set_local_ratio(self, local_ratio)
+
+
+_set_t, _set_source, _set_job_id, _set_weight, _set_local_ratio = _slot_setters(LapSlot)
 
 
 @dataclass(frozen=True)
@@ -135,9 +153,7 @@ def lap_run(
             # KeyError, as drive raises, if the fallback names no pending job.
             weight = buffer.jobs[job_id].weight
             processed_weights.append(weight)
-        rows.append(
-            LapSlot(t=t, source=source, job_id=job_id, weight=weight, local_ratio=ratio)
-        )
+        rows.append(LapSlot(t, source, job_id, weight, ratio))
         return job_id
 
     schedule = drive(realization, pick)

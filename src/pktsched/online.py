@@ -14,10 +14,8 @@ EDF-alpha still scans.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import attrgetter
 from typing import Callable, Optional
 
 from .core import Instance, Job, Schedule, edf_first, heavier_first
@@ -34,9 +32,11 @@ class Buffer:
     of what is pending. :func:`drive` runs the slots: it calls :meth:`at`
     for slots 0, 1, 2, ... in turn and pops every job that runs from
     ``jobs``, so ``jobs`` after ``at(t)`` holds
-    ``core.pending_set(instance, run_so_far, t)``. A release-ordered cursor
-    admits jobs and a deadline-bucket map drops each id at slot
-    ``deadline``, so a slot costs only what changes at it.
+    ``core.pending_set(instance, run_so_far, t)``. One cursor walks the
+    instance's shared ``release_order`` to admit jobs and another walks its
+    ``deadline_order`` to drop each id at slot ``deadline``, so a slot
+    costs only what changes at it, and a run on an ``Instance`` that was
+    driven before sets up in O(1). Neither order is ever changed.
 
     :meth:`heaviest` and :meth:`earliest` read lazy-deletion heaps in
     ``heavier_first`` and ``edf_first`` order. A heap is fed the pending
@@ -49,15 +49,14 @@ class Buffer:
 
     def __init__(self, instance: Instance) -> None:
         self.jobs: dict[str, Job] = {}
-        self._arrivals = sorted(instance.jobs, key=attrgetter("release"))
+        self._arrivals = instance.release_order
         self._next = 0
+        self._expiries = instance.deadline_order
+        self._expired = 0
         # Per order, a heap of its sort keys (they end in the unique id) and
         # a cursor: the heap has been fed the arrivals before it.
         self._heaps: dict = {heavier_first: [], edf_first: []}
         self._fed = dict.fromkeys(self._heaps, 0)
-        self._expiring: dict[int, list[str]] = defaultdict(list)
-        for job in instance.jobs:
-            self._expiring[job.deadline].append(job.id)
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -71,8 +70,11 @@ class Buffer:
             jobs[job.id] = job
             i += 1
         self._next = i
-        for job_id in self._expiring.pop(t, ()):
-            jobs.pop(job_id, None)
+        expiries, k = self._expiries, self._expired
+        while k < len(expiries) and expiries[k].deadline <= t:
+            jobs.pop(expiries[k].id, None)
+            k += 1
+        self._expired = k
         return self
 
     def heaviest(self) -> Optional[Job]:

@@ -235,6 +235,9 @@ def _config(tmp_path, text, name="bad.cfg"):
       "{tmp}/nodir/x.csv: No such file or directory"),
      (["gen", "--spec", "bogus:T=5", "--out", "{tmp}/x.csv"], "unknown generator kind 'bogus'"),
      (["gen", "--spec", "uniform:T=abc", "--out", "{tmp}/x.csv"], "key 'T': invalid literal for int() with base 10: 'abc'"),
+     (["gen", "--spec", "powerlaw:m=inf", "--out", "{tmp}/x.csv"], "m must be finite and >= 0, got inf"),
+     (["gen", "--spec", "powerlaw:a=nan", "--out", "{tmp}/x.csv"], "a must be finite and > 0, got nan"),
+     (["gen", "--spec", "powerlaw:m=nan", "--out", "{tmp}/x.csv"], "m must be finite and >= 0, got nan"),
      (["experiment", "--config", "{tmp}/nope.cfg"], "{tmp}/nope.cfg: No such file or directory"),
      (["experiment", "--config", "{bogus_cfg}"], "line 1: unknown key 'bogus'"),
      (["experiment", "--config", "{short_cfg}"], "missing required key(s): values"),
@@ -245,7 +248,8 @@ def _config(tmp_path, text, name="bad.cfg"):
      (["ingest", "--in", "{tmp}/missing.txt", "--out-dir", "{tmp}/days", "--ts-col", "-3"],
       "ts_col must be >= 0, got -3")],
     ids=["run-trace", "run-lap-no-pred", "run-blind-no-pred", "run-trace-not-lap", "gen-out",
-         "gen-kind", "gen-value", "experiment-missing", "experiment-key",
+         "gen-kind", "gen-value", "gen-m-inf", "gen-a-nan", "gen-m-nan",
+         "experiment-missing", "experiment-key",
          "experiment-no-values", "ingest-missing", "ingest-slots", "ingest-ts-col"],
 )
 def test_unusable_path_or_option_exits_with_one_line(tmp_path, j2, command, message, capsys):

@@ -1,6 +1,9 @@
+import copy
 import itertools
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -20,17 +23,56 @@ from pktsched import (
     validate_schedule,
     write_instance_csv,
 )
+from pktsched.lap import LapSlot
 from conftest import mk, random_instance
 from reference import dominates, prefix_weight
 
 
 def test_job_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^job 'x': release must be >= 0$"):
         Job("x", -1, 2, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^job 'x': deadline must be >= release \+ 1$"):
         Job("x", 2, 2, 1.0)  # needs deadline >= release + 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^job 'x': weight must be finite and >= 0$"):
         Job("x", 0, 1, -0.5)
+    # replace builds through __init__, so it validates too.
+    job = Job("x", 0, 1, 0.5)
+    with pytest.raises(ValueError, match=r"^job 'x': release must be >= 0$"):
+        replace(job, release=-1)
+    with pytest.raises(ValueError, match=r"^job 'x': deadline must be >= release \+ 1$"):
+        replace(job, deadline=0)
+    with pytest.raises(ValueError, match=r"^job 'x': weight must be finite and >= 0$"):
+        replace(job, weight=math.nan)
+    assert replace(job, weight=0.25) == Job("x", 0, 1, 0.25)
+
+
+@pytest.mark.parametrize(
+    "record, text",
+    [(Job("a", 0, 2, 0.5), "Job(id='a', release=0, deadline=2, weight=0.5)"),
+     (LapSlot(3, "prediction", "a", 0.5, 1.25),
+      "LapSlot(t=3, source='prediction', job_id='a', weight=0.5, local_ratio=1.25)")],
+    ids=["Job", "LapSlot"],
+)
+def test_record_contract(record, text):
+    # Immutable, hashable value records that compare by field, never equal
+    # a plain tuple, and survive pickle and copy.
+    names = [f.name for f in fields(record)]
+    values = tuple(getattr(record, name) for name in names)
+    twin = type(record)(*values)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    assert repr(record) == text
+    assert record != values and values != record
+    assert replace(record) == record
+    for name in [*names, "extra"]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in names) == values
+    assert not hasattr(record, "extra") and not hasattr(record, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                   copy.deepcopy(record)):
+        assert type(copied) is type(record) and copied == record
 
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,11 @@ def test_generator_spec_validation():
         GeneratorSpec("uniform", lo=5, hi=2)
     with pytest.raises(ValueError):
         GeneratorSpec("powerlaw", a=0.0)
+    # The CLI tests cover the non-finite values a --spec gives.
+    with pytest.raises(ValueError, match=r"^a must be finite and > 0, got inf$"):
+        GeneratorSpec("powerlaw", a=math.inf)
+    with pytest.raises(ValueError, match=r"^m must be finite and >= 0, got -1.0$"):
+        GeneratorSpec("powerlaw", m=-1.0)
 
 
 def test_parse_generator_spec():
@@ -369,6 +375,36 @@ def test_sweep_solves_each_realizations_series_once(monkeypatch):
     records = run_experiment(_tiny_config(trials=70, values=(0.0, 0.2, 0.5)))
     assert len(records) == 70 * 3 * 3
     assert len(solved) == 70 and len({id(inst) for inst in solved}) == 70
+
+
+def test_sweep_builds_each_realizations_index_once(monkeypatch):
+    # Every online run of a trial, lap's at every sweep value included,
+    # drives the trial's realization: its release and deadline orders are
+    # sorted once, and no prediction is ever driven.
+    built, realizations = Counter(), []
+    original_generate = experiments.generate
+
+    def kept_generate(spec):
+        realizations.append(original_generate(spec))
+        return realizations[-1]
+
+    for name in ("release_order", "deadline_order"):
+        def counted(instance, build=Instance.__dict__[name].func, name=name):
+            built[name, id(instance)] += 1
+            return build(instance)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Instance, name)
+        monkeypatch.setattr(Instance, name, prop)
+    monkeypatch.setattr(experiments, "generate", kept_generate)
+    config = _tiny_config(
+        trials=70, values=(0.0, 0.2, 0.5), algorithms=("lap", "mg", "greedy", "edf")
+    )
+    assert len(run_experiment(config)) == 70 * 3 * 4
+    assert len(realizations) == 70
+    assert built == Counter(
+        (name, id(r)) for r in realizations for name in ("release_order", "deadline_order")
+    )
 
 
 def test_sweep_solves_each_prediction_once(monkeypatch):

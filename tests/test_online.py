@@ -249,6 +249,35 @@ def test_run_loop_never_hashes_a_job(monkeypatch):
                 buffer.jobs.pop(min(jobs))
 
 
+def test_runs_sharing_an_instance_match_runs_on_fresh_instances():
+    # Every Buffer reads the release and deadline orders kept on its
+    # Instance: runs that share one Instance, in either order, give what
+    # runs on fresh copies give, and leave the shared orders as built.
+    def fresh(inst):
+        return Instance(inst.jobs, inst.horizon)
+
+    rng = random.Random(19)
+    instances = [
+        generate(GeneratorSpec("uniform", horizon=40, seed=19)),
+        generate(GeneratorSpec("powerlaw", horizon=20, a=30, m=100, max_slack=12, seed=19)),
+        *(random_instance(rng, max_jobs=10, max_horizon=10) for _ in range(20)),
+    ]
+    policies = (GREEDY, EDF, MG, OnlineStepPolicy.parse("edf-alpha:0.5"))
+    for k, inst in enumerate(instances):
+        pred = adversarial_prediction(inst, "shifted", seed=k)
+        runs = [lambda real, p=p: run_online(p, real) for p in policies]
+        runs += [lambda real, p=p: lap_run(pred, real, 1.1, p) for p in policies]
+        expected = [run(fresh(inst)) for run in runs]
+        for order in (runs, runs[::-1]):
+            shared = fresh(inst)
+            results = [run(shared) for run in order]
+            if order is not runs:
+                results.reverse()
+            assert results == expected
+            assert shared.release_order == tuple(sorted(inst.jobs, key=lambda j: j.release))
+            assert shared.deadline_order == tuple(sorted(inst.jobs, key=lambda j: j.deadline))
+
+
 def test_run_online_examples(j2):
     greedy = run_online(GREEDY, j2)
     assert [j.id if j else None for j in greedy.slots] == ["b", "c", None]
