@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from contextlib import contextmanager
 
@@ -207,7 +208,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # Flushed here, so a reader that has gone away (`| head`) is
+        # caught below and not at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone: send what is still buffered to devnull, so
+        # the flush at exit does not fail again, and exit non-zero.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from pktsched import (
     prefix_opt_series,
 )
 from pktsched.core import edf_first, feasible_at, heavier_first
+from pktsched.offline import _SlotMatching
 
 
 def dominates(j: Job, j2: Job) -> bool:
@@ -131,3 +132,34 @@ def mg_step(jobs: set[Job]) -> Optional[str]:
     heaviest = min(jobs, key=heavier_first)
     earliest = min(jobs, key=edf_first)
     return (earliest if earliest.weight >= heaviest.weight / PHI else heaviest).id
+
+
+class WalkingMatching(_SlotMatching):
+    """A ``_SlotMatching`` whose ``insert`` searches with the per-slot
+    ``_walk``, as the series did before its layered search: the oracle for
+    ``insert``'s added and evicted ranks and for its ``_closed``."""
+
+    def insert(self, rank: int) -> tuple[bool, Optional[int]]:
+        closed = self._closed
+        if (
+            closed is not None
+            and closed[0] <= self.release[rank]
+            and self.deadline[rank] <= closed[1]
+            and closed[2] < rank
+        ):
+            return False, None
+        free, reached = self._walk(rank)
+        if free is not None:
+            self._shift_into(free, reached)
+            return True, None
+        owner_of = self.owner.__getitem__
+        lo, hi = min(reached), max(reached) + 1
+        last = max(map(owner_of, reached))
+        if last < rank:
+            self._closed = (lo, hi, last)
+            return False, None
+        freed = self.slot_of[last]
+        self.slot_of[last] = None
+        self._shift_into(freed, reached)
+        self._closed = (lo, hi, max(map(owner_of, reached)))
+        return True, last

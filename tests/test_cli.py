@@ -1,4 +1,7 @@
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from pktsched import (
     write_instance_csv,
 )
 from pktsched.cli import main
+from conftest import mk
 
 
 def _write_fixtures(tmp_path, j1, j2):
@@ -269,3 +273,37 @@ def test_unusable_path_or_option_exits_with_one_line(tmp_path, j2, command, mess
     # printed no schedule before it fails.
     assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
     assert capsys.readouterr() == ("", "")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The entry point as the installed script runs it, in a fresh interpreter.
+ENTRY = """
+import sys
+sys.path.insert(0, sys.argv.pop(1))
+from pktsched.cli import main
+sys.exit(main())
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["opt", "{i}"], ["run", "--algo", "lap", "--real", "{i}", "--pred", "{i}"]],
+)
+def test_reader_that_stops_early_ends_the_command_quietly(tmp_path, command):
+    # 20,001 schedule rows, more than a pipe holds, so the command is
+    # still writing when the reader goes away, as under `| head -n 1`.
+    path = tmp_path / "long.csv"
+    write_instance_csv(mk([("a", 0, 20000, 1.0), ("b", 0, 2, 0.5)]), path)
+    argv = [part.format(i=path) for part in command]
+    with subprocess.Popen(
+        [sys.executable, "-I", "-c", ENTRY, str(SRC), *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        assert child.stdout.readline().startswith(b"# ")
+        child.stdout.close()
+        err = child.stderr.read().decode()
+    assert "Traceback" not in err, err
+    # Non-zero: the command did write into the closed pipe.
+    assert child.returncode == 1

@@ -18,7 +18,13 @@ from pktsched import (
 from pktsched.core import heavier_first
 from pktsched.offline import BRUTE_FORCE_MAX_HORIZON, BRUTE_FORCE_MAX_JOBS, _SlotMatching
 from conftest import TIED_WEIGHTS, edge_shape_instances, long_instance, mk, random_instance
-from reference import greedy_edf_ids, prefix_weight, release_prefix, resolved_prefix_opt
+from reference import (
+    WalkingMatching,
+    greedy_edf_ids,
+    prefix_weight,
+    release_prefix,
+    resolved_prefix_opt,
+)
 
 
 def test_opt_schedule_examples(j2):
@@ -171,20 +177,25 @@ def test_insert_rejects_inside_last_closed_interval_without_search(monkeypatch):
     )
     best = opt_schedule(inst).job_ids()
     searched = []
-    search = _SlotMatching._search
 
-    def counted(self, rank):
-        searched.append(rank)
-        return search(self, rank)
+    def counting(search):
+        def counted(self, rank):
+            searched.append(rank)
+            return search(self, rank)
 
-    monkeypatch.setattr(_SlotMatching, "_search", counted)
+        return counted
+
+    # Both searches are counted, so the count holds whichever one insert
+    # calls; a search under a third name leaves it at 0 and fails below.
+    for name in ("_walk", "_grow"):
+        monkeypatch.setattr(_SlotMatching, name, counting(getattr(_SlotMatching, name)))
     ranked = sorted(inst.jobs, key=heavier_first)
     matching = _SlotMatching(ranked)
     for rank in sorted(range(len(ranked)), key=lambda r: (ranked[r].release, r)):
         matching.insert(rank)
     assert matching.selected_ids() == best
     # 297 inserts, 108 searches: the rest are rejected by the shortcut.
-    assert len(searched) < len(inst.jobs) / 2
+    assert 0 < len(searched) < len(inst.jobs) / 2
 
 
 def test_insert_in_any_order_selects_the_optimum():
@@ -198,6 +209,59 @@ def test_insert_in_any_order_selects_the_optimum():
         for rank in ranks:
             matching.insert(rank)
         assert matching.selected_ids() == opt_schedule(inst).job_ids()
+
+
+def _occupied(matching):
+    """The number of occupied slots, once owner, slot_of, rel_at and
+    dl_at are checked to agree and every owner to sit in its window."""
+    owner, slot_of = matching.owner, matching.slot_of
+    release, deadline = matching.release, matching.deadline
+    held = [(s, r) for s, r in enumerate(owner) if r is not None]
+    assert all(slot_of[r] == s and release[r] <= s < deadline[r] for s, r in held)
+    # Each held rank points back at its slot, so equal counts leave no
+    # rank with a slot it does not own.
+    assert len(held) == len(slot_of) - slot_of.count(None)
+    assert matching.rel_at == [-1 if r is None else release[r] for r in owner]
+    assert matching.dl_at == [-1 if r is None else deadline[r] for r in owner]
+    return len(held)
+
+
+def _insert_orders(rng):
+    """(ranked jobs, insert order): the fuzz corpus in release order and
+    shuffled, then one instance of each benchmark shape in release order."""
+    def ranked_in_release_order(inst):
+        ranked = sorted(inst.jobs, key=heavier_first)
+        return ranked, sorted(range(len(ranked)), key=lambda r: (ranked[r].release, r))
+
+    for inst in _series_fuzz_instances(rng):
+        ranked, order = ranked_in_release_order(inst)
+        yield ranked, order
+        shuffled = order[:]
+        rng.shuffle(shuffled)
+        yield ranked, shuffled
+    yield ranked_in_release_order(
+        generate(GeneratorSpec("powerlaw", horizon=150, a=30, m=500, max_slack=40, seed=1))
+    )
+    yield ranked_in_release_order(
+        generate(GeneratorSpec("uniform", horizon=1200, lo=2, hi=8, max_slack=10, seed=1))
+    )
+
+
+def test_insert_keeps_its_slot_arrays_and_matches_the_per_slot_walk():
+    inserts = 0
+    for ranked, order in _insert_orders(random.Random(149)):
+        matching, oracle = _SlotMatching(ranked), WalkingMatching(ranked)
+        occupied = 0
+        for rank in order:
+            assert matching.insert(rank) == oracle.insert(rank)
+            assert matching._closed == oracle._closed
+            # An eviction refills the evicted job's slot: none is freed.
+            now = _occupied(matching)
+            assert now >= occupied
+            occupied = now
+        assert matching.selected_ids() == oracle.selected_ids()
+        inserts += len(order)
+    assert inserts > 20000
 
 
 @pytest.mark.parametrize(
