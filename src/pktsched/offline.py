@@ -30,19 +30,17 @@ releases and deadlines of the owners of the slots the last layer added.
 Each is the faster of the two on its own path; on the benchmark shapes
 the layered search made the optimum solve 12-22% slower.
 
-The matching works on ranks, not ``Job`` records: the instance's jobs are
-sorted once in ``heavier_first`` order, and a job is its index in that
-list. Slots hold ranks, so comparing two jobs in ``heavier_first`` order
-is an int compare, and the last owner of a set of slots is one C-level
-``max`` over them.
+The matching works on ranks, not ``Job`` records: a job is its index in
+``Instance.ranked``, the instance's jobs sorted once in ``heavier_first``
+order and shared with the online runs' buffers. Slots hold ranks, so
+comparing two jobs in ``heavier_first`` order is an int compare, and the
+last owner of a set of slots is one C-level ``max`` over them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from heapq import heappop, heappush
-from operator import attrgetter
 from typing import Optional, Sequence
 
 from .core import (
@@ -62,15 +60,6 @@ BRUTE_FORCE_MAX_HORIZON = 12
 
 class TooLarge(ValueError):
     """Instance exceeds the brute-force enumeration guard."""
-
-
-def _ranked(instance: Instance) -> list[Job]:
-    """The instance's jobs in ``heavier_first`` order.
-
-    ``instance.jobs`` is in increasing id order and the sort is stable
-    (``reverse`` keeps it so), so equal weights stay smaller id first.
-    """
-    return sorted(instance.jobs, key=attrgetter("weight"), reverse=True)
 
 
 class _PathBack:
@@ -353,9 +342,8 @@ class _SlotMatching:
 
 
 def _optimal_ids(instance: Instance) -> set[str]:
-    ranked = _ranked(instance)
-    matching = _SlotMatching(ranked)
-    for rank in range(len(ranked)):
+    matching = _SlotMatching(instance.ranked)
+    for rank in range(len(instance.jobs)):
         matching.add_if_fits(rank)
     return matching.selected_ids()
 
@@ -431,13 +419,10 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     last mark and at most 64 weights past it: the same exact sum, rounded
     once. Placing slots again from s drops the marks of blocks past s.
     """
-    ranked = _ranked(instance)
+    ranked = instance.ranked
+    released_at = instance.by_slot.released
     matching = _SlotMatching(ranked)
     release, deadline, slot_of = matching.release, matching.deadline, matching.slot_of
-    # Ranks released at each slot, in rank (heavier_first) order.
-    by_release: dict[int, list[int]] = defaultdict(list)
-    for rank, r in enumerate(release):
-        by_release[r].append(rank)
     placed: list[Optional[int]] = []
     placed_at: dict[int, int] = {}
     weights: list[float] = []
@@ -448,7 +433,7 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     values: list[float] = []
     for t in range(instance.horizon + 1):
         start = t
-        for rank in by_release.get(t, ()):
+        for rank in released_at[t]:
             added, evicted = matching.insert(rank)
             if added:
                 heappush(waiting, (deadline[rank], rank))

@@ -18,11 +18,28 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
-from .core import Instance, Job, Schedule, edf_first, heavier_first
+from .core import Instance, Job, Schedule, edf_first
 
 # Golden ratio: modified greedy's weight threshold and its competitive ratio
 # on agreeable-deadline instances.
 PHI = (1 + math.sqrt(5)) / 2
+
+
+class _Heap:
+    """A lazy-deletion heap of positions in one order of an instance's jobs.
+
+    ``order`` holds the jobs by position, ``position[rank]`` is a rank's
+    position there (None when the position is the rank), and ``fed`` counts
+    the slots whose released ranks the heap has been fed.
+    """
+
+    __slots__ = ("order", "position", "entries", "fed")
+
+    def __init__(self, order: tuple[Job, ...], position: Optional[tuple[int, ...]]):
+        self.order = order
+        self.position = position
+        self.entries: list[int] = []
+        self.fed = 0
 
 
 class Buffer:
@@ -32,72 +49,82 @@ class Buffer:
     of what is pending. :func:`drive` runs the slots: it calls :meth:`at`
     for slots 0, 1, 2, ... in turn and pops every job that runs from
     ``jobs``, so ``jobs`` after ``at(t)`` holds
-    ``core.pending_set(instance, run_so_far, t)``. One cursor walks the
-    instance's shared ``release_order`` to admit jobs and another walks its
-    ``deadline_order`` to drop each id at slot ``deadline``, so a slot
-    costs only what changes at it, and a run on an ``Instance`` that was
-    driven before sets up in O(1). Neither order is ever changed.
+    ``core.pending_set(instance, run_so_far, t)``. That holds when slots
+    are skipped too: ``at(t)`` takes each slot since its last call in turn,
+    with one ``dict.update`` from the instance's ``by_slot.arrivals`` and
+    one pop per id in its ``expiring``. So a slot costs only what changes
+    at it, and a run on an ``Instance`` that was driven before sets up in
+    O(1). The index is never changed.
 
-    :meth:`heaviest` and :meth:`earliest` read lazy-deletion heaps in
-    ``heavier_first`` and ``edf_first`` order. A heap is fed the pending
-    arrivals on its first read after they come, so a run that never reads
-    it (LAP following its prediction) pays nothing for it. An entry whose
-    id has left ``jobs`` is popped when it reaches the top. Each job is
-    pushed and popped at most once per heap: O(log n) amortized per read
-    over an n-job run, against O(b) to scan a b-job buffer.
+    :meth:`heaviest` and :meth:`earliest` read lazy-deletion heaps of ints:
+    ranks (``heavier_first`` order) and positions in the index's ``edf``
+    order (``edf_first`` order), so no sort key is built per job. A heap is
+    fed the ranks released (``by_slot.released``) and still pending on its
+    first read after they come, so a run that never reads it (LAP following
+    its prediction) pays nothing for it. An entry whose job has left
+    ``jobs`` is popped when it reaches the top. Each job is pushed and
+    popped at most once per heap: O(log n) amortized per read over an
+    n-job run, against O(b) to scan a b-job buffer.
     """
 
     def __init__(self, instance: Instance) -> None:
         self.jobs: dict[str, Job] = {}
-        self._arrivals = instance.release_order
-        self._next = 0
-        self._expiries = instance.deadline_order
-        self._expired = 0
-        # Per order, a heap of its sort keys (they end in the unique id) and
-        # a cursor: the heap has been fed the arrivals before it.
-        self._heaps: dict = {heavier_first: [], edf_first: []}
-        self._fed = dict.fromkeys(self._heaps, 0)
+        index = instance.by_slot
+        self._arrivals = index.arrivals
+        self._expiring = index.expiring
+        self._released = index.released
+        self._ranked = instance.ranked
+        # The last slot admitted; no job is released or expires past the
+        # horizon, so it stops there.
+        self._t = -1
+        self._heaviest = _Heap(instance.ranked, None)
+        self._earliest = _Heap(index.edf, index.edf_of)
 
     def __len__(self) -> int:
         return len(self.jobs)
 
     def at(self, t: int) -> Buffer:
-        """Admit the jobs released by t, drop those expiring at t, and
+        """Admit the jobs released by t, drop those expiring by t, and
         return the buffer (the step rules only read it)."""
-        arrivals, i, jobs = self._arrivals, self._next, self.jobs
-        while i < len(arrivals) and arrivals[i].release <= t:
-            job = arrivals[i]
-            jobs[job.id] = job
-            i += 1
-        self._next = i
-        expiries, k = self._expiries, self._expired
-        while k < len(expiries) and expiries[k].deadline <= t:
-            jobs.pop(expiries[k].id, None)
-            k += 1
-        self._expired = k
+        s = self._t
+        if s < t:
+            jobs = self.jobs
+            pop = jobs.pop
+            arrivals, expiring = self._arrivals, self._expiring
+            end = t if t < len(arrivals) else len(arrivals) - 1
+            while s < end:
+                s += 1
+                jobs.update(arrivals[s])
+                for job_id in expiring[s]:
+                    pop(job_id, None)
+            self._t = s
         return self
 
     def heaviest(self) -> Optional[Job]:
         """First pending job in ``heavier_first`` order; None if empty."""
-        return self._first(heavier_first)
+        return self._first(self._heaviest)
 
     def earliest(self) -> Optional[Job]:
         """First pending job in ``edf_first`` order; None if empty."""
-        return self._first(edf_first)
+        return self._first(self._earliest)
 
-    def _first(self, order) -> Optional[Job]:
-        """Feed the order's heap the pending arrivals since its last read,
+    def _first(self, heap: _Heap) -> Optional[Job]:
+        """Feed the heap the pending ranks released since its last read,
         pop the stale entries off its top, and return the top job."""
-        heap, jobs = self._heaps[order], self.jobs
-        for job in self._arrivals[self._fed[order] : self._next]:
+        jobs, entries = self.jobs, heap.entries
+        if heap.fed <= self._t:
+            ranked, position = self._ranked, heap.position
+            for released in self._released[heap.fed : self._t + 1]:
+                for rank in released:
+                    if ranked[rank].id in jobs:
+                        heappush(entries, rank if position is None else position[rank])
+            heap.fed = self._t + 1
+        order = heap.order
+        while entries:
+            job = order[entries[0]]
             if job.id in jobs:
-                heappush(heap, order(job))
-        self._fed[order] = self._next
-        while heap:
-            job = jobs.get(heap[0][-1])
-            if job is not None:
                 return job
-            heappop(heap)
+            heappop(entries)
         return None
 
 

@@ -35,6 +35,7 @@ from pktsched import (
 from pktsched import experiments, offline
 from pktsched.core import write_instance_csv
 from pktsched.experiments import (
+    ResultRecord,
     derive_seed,
     parse_config_file,
     parse_generator_spec,
@@ -234,6 +235,10 @@ def test_competitive_ratio(j1, j2):
     assert abs(ratio - 1.999 / 1.01) < 1e-12
     dummies = Schedule((None, None, None))
     assert math.isinf(competitive_ratio(j2, dummies, best))
+    # Both weights zero: nothing could be run and nothing was, ratio 1.
+    assert competitive_ratio(j2, dummies, 0.0) == 1.0
+    zero = Instance.of([Job("z", 0, 2, 0.0)])
+    assert competitive_ratio(zero, opt_schedule(zero), 0.0) == 1.0
     bad = Schedule((j2.by_id["c"], None, None))  # runs before release
     with pytest.raises(InvalidSchedule):
         competitive_ratio(j2, bad, best)
@@ -379,16 +384,22 @@ def test_sweep_solves_each_realizations_series_once(monkeypatch):
 
 def test_sweep_builds_each_realizations_index_once(monkeypatch):
     # Every online run of a trial, lap's at every sweep value included,
-    # drives the trial's realization: its release and deadline orders are
-    # sorted once, and no prediction is ever driven.
-    built, realizations = Counter(), []
-    original_generate = experiments.generate
+    # drives the trial's realization: its heavier_first order (ranked) and
+    # its per-slot index are built once, and the index of no prediction is
+    # ever built, since no prediction is driven. A prediction's ranked order
+    # is built once too, for its optimum.
+    built, realizations, predictions = Counter(), [], []
+    original_generate, original_perturb = experiments.generate, experiments.perturb
 
     def kept_generate(spec):
         realizations.append(original_generate(spec))
         return realizations[-1]
 
-    for name in ("release_order", "deadline_order"):
+    def kept_perturb(instance, spec):
+        predictions.append(original_perturb(instance, spec))
+        return predictions[-1]
+
+    for name in ("ranked", "by_slot"):
         def counted(instance, build=Instance.__dict__[name].func, name=name):
             built[name, id(instance)] += 1
             return build(instance)
@@ -397,13 +408,17 @@ def test_sweep_builds_each_realizations_index_once(monkeypatch):
         prop.__set_name__(Instance, name)
         monkeypatch.setattr(Instance, name, prop)
     monkeypatch.setattr(experiments, "generate", kept_generate)
+    monkeypatch.setattr(experiments, "perturb", kept_perturb)
     config = _tiny_config(
         trials=70, values=(0.0, 0.2, 0.5), algorithms=("lap", "mg", "greedy", "edf")
     )
     assert len(run_experiment(config)) == 70 * 3 * 4
-    assert len(realizations) == 70
+    assert len(realizations) == 70 and len(predictions) == 70 * 3
+    # At sigma = 0 the prediction is the realization itself.
+    distinct = {id(p) for p in predictions} - {id(r) for r in realizations}
     assert built == Counter(
-        (name, id(r)) for r in realizations for name in ("release_order", "deadline_order")
+        [("ranked", i) for i in {id(r) for r in realizations} | distinct]
+        + [("by_slot", id(r)) for r in realizations]
     )
 
 
@@ -430,6 +445,23 @@ def test_sweep_solves_each_prediction_once(monkeypatch):
     assert len(run_experiment(config)) == 70 * 3 * 3
     assert len(predictions) == 70 * 3
     assert [id(inst) for inst in solved] == [id(inst) for inst in predictions]
+
+
+def test_series_rows_standard_error_by_hand():
+    # The standard error of the mean uses the sample deviation (n - 1):
+    # ratios 1, 2 give sqrt(0.5) / sqrt(2) = 0.5, and 1, 2, 4 give
+    # sqrt((16 + 1 + 25) / 9 / 2) / sqrt(3) = sqrt(7) / 3. Dividing by n
+    # would give sqrt(2) / 4 and sqrt(14) / 9.
+    def record(algorithm, ratio):
+        return ResultRecord("uniform", "sigma", 0.1, 0, algorithm, 1.0, ratio, 0.0)
+
+    records = [record("mg", r) for r in (1.0, 2.0)]
+    records += [record("greedy", r) for r in (1.0, 2.0, 4.0)]
+    records.append(record("edf", 1.5))
+    rows = {algorithm: (mean, stderr) for _, algorithm, mean, stderr in series_rows(records)}
+    assert rows["mg"] == (1.5, pytest.approx(0.5, rel=1e-12))
+    assert rows["greedy"] == (pytest.approx(7 / 3, rel=1e-12), pytest.approx(math.sqrt(7) / 3, rel=1e-12))
+    assert rows["edf"] == (1.5, 0.0)
 
 
 def test_series_rows_grouping():

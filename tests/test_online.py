@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 from itertools import chain
 
 import pytest
@@ -26,6 +27,8 @@ from pktsched import (
     schedule_weight,
     validate_schedule,
 )
+from pktsched import core, lap, offline, online, prediction
+from pktsched.core import SlotIndex, edf_first, heavier_first
 from pktsched.online import Buffer, drive
 from conftest import (
     TIED_WEIGHTS,
@@ -250,9 +253,10 @@ def test_run_loop_never_hashes_a_job(monkeypatch):
 
 
 def test_runs_sharing_an_instance_match_runs_on_fresh_instances():
-    # Every Buffer reads the release and deadline orders kept on its
-    # Instance: runs that share one Instance, in either order, give what
-    # runs on fresh copies give, and leave the shared orders as built.
+    # Every Buffer reads the heavier_first order and the per-slot index kept
+    # on its Instance: runs that share one Instance, in either order, give
+    # what runs on fresh copies give, and leave the shared order and index
+    # as built.
     def fresh(inst):
         return Instance(inst.jobs, inst.horizon)
 
@@ -274,8 +278,107 @@ def test_runs_sharing_an_instance_match_runs_on_fresh_instances():
             if order is not runs:
                 results.reverse()
             assert results == expected
-            assert shared.release_order == tuple(sorted(inst.jobs, key=lambda j: j.release))
-            assert shared.deadline_order == tuple(sorted(inst.jobs, key=lambda j: j.deadline))
+            assert shared.ranked == tuple(sorted(inst.jobs, key=heavier_first))
+            assert [getattr(shared.by_slot, name) for name in SlotIndex.__slots__] == [
+                getattr(SlotIndex(fresh(inst)), name) for name in SlotIndex.__slots__
+            ]
+
+
+def test_slot_index_holds_each_slots_changes():
+    # Each slot's arrivals, expiring ids and released ranks, and the
+    # edf_first order, against scans of the jobs; ties included.
+    rng = random.Random(23)
+    instances = [
+        generate(GeneratorSpec("powerlaw", horizon=20, a=30, m=100, max_slack=12, seed=23)),
+        *(random_instance(rng, max_jobs=12, max_horizon=10, weights=TIED_WEIGHTS) for _ in range(50)),
+    ]
+    for inst in instances:
+        index, ranked = inst.by_slot, inst.ranked
+        assert ranked == tuple(sorted(inst.jobs, key=heavier_first))
+        assert index.edf == tuple(sorted(inst.jobs, key=edf_first))
+        assert [index.edf[e] for e in index.edf_of] == list(ranked)
+        for t in range(inst.horizon + 1):
+            assert index.arrivals[t] == {j.id: j for j in inst.jobs if j.release == t}
+            assert sorted(index.expiring[t]) == [j.id for j in inst.jobs if j.deadline == t]
+            assert [ranked[r] for r in index.released[t]] == [j for j in ranked if j.release == t]
+        # One int object per rank, shared by released and edf_of.
+        released = {r: r for slot in index.released for r in slot}
+        assert all(released[r] is r for r in index.edf_of)
+
+
+def test_buffer_skipping_slots_matches_slot_by_slot():
+    # at(t) after at(s) with s < t - 1 admits and expires every slot in
+    # between, past the horizon too, and the heaps are fed what is pending.
+    rng = random.Random(29)
+    randoms = (random_instance(rng, max_jobs=12, max_horizon=10) for _ in range(200))
+    for inst in chain(randoms, edge_shape_instances(rng)):
+        h = inst.horizon
+        stops = [(0, 7), (0, h + 1), (0, h + 5), (h, h + 3)]
+        stops += [tuple(sorted(rng.sample(range(h + 4), 2))) for _ in range(3)]
+        for first, second in stops:
+            skipping, stepping = Buffer(inst), Buffer(inst)
+            processed = set()
+            skipping.at(first)
+            for t in range(first + 1):
+                stepping.at(t)
+            assert skipping.jobs == stepping.jobs
+            if skipping.jobs:
+                job_id = greedy_step(skipping)
+                assert job_id == greedy_step(stepping)
+                skipping.jobs.pop(job_id)
+                stepping.jobs.pop(job_id)
+                processed.add(job_id)
+            skipping.at(second)
+            for t in range(first + 1, second + 1):
+                stepping.at(t)
+            assert skipping.jobs == stepping.jobs
+            assert skipping.jobs == {j.id: j for j in pending_set(inst, processed, second)}
+            for rule in (greedy_step, edf_step, mg_step):
+                assert rule(skipping) == rule(stepping)
+                assert rule(skipping) == getattr(reference, rule.__name__)(skipping.jobs.values())
+
+
+def test_runs_on_a_solved_instance_sort_no_jobs(monkeypatch):
+    # The optimum, the series and every run share the instance's one
+    # heavier_first order: once an instance's optimum or series has been
+    # read, its runs build no order again and sort no Job records at all
+    # (the index sorts ints).
+    builds, job_sorts = [], []
+    build = Instance.__dict__["ranked"].func
+
+    def counted(instance):
+        builds.append(instance)
+        return build(instance)
+
+    def sorting(iterable, **kwargs):
+        items = list(iterable)
+        if any(isinstance(item, Job) for item in items):
+            job_sorts.append(items)
+        return sorted(items, **kwargs)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Instance, "ranked")
+    monkeypatch.setattr(Instance, "ranked", prop)
+    for module in (core, offline, online, lap, prediction):
+        monkeypatch.setattr(module, "sorted", sorting, raising=False)
+    rng = random.Random(31)
+    policies = (GREEDY, EDF, MG, OnlineStepPolicy.parse("edf-alpha:0.5"))
+    for k in range(20):
+        inst = generate(GeneratorSpec("uniform", horizon=30, seed=k))
+        pred = adversarial_prediction(inst, "shifted", seed=k)
+        builds.clear()
+        pred.optimum
+        if k % 2:
+            inst.optimum
+        else:
+            inst.prefix_opt
+        assert list(map(id, builds)) == [id(pred), id(inst)]
+        job_sorts.clear()
+        for policy in policies:
+            run_online(policy, inst)
+            lap_run(pred, inst, rng.choice((1.0, 1.1, 2.0)), policy)
+        assert list(map(id, builds)) == [id(pred), id(inst)]
+        assert job_sorts == []
 
 
 def test_run_online_examples(j2):
