@@ -263,9 +263,11 @@ def schedule_weight(schedule: Schedule) -> float:
     return math.fsum(j.weight for j in schedule.slots if j is not None)
 
 
-# A running list of weights is folded by exact_terms once it is longer than
-# this, so each read sums a bounded list instead of every weight so far.
-_FOLD = 64
+def weight_ratio(numerator: float, denominator: float) -> float:
+    """numerator / denominator, with 0 / 0 = 1 and x / 0 = infinity."""
+    if denominator == 0.0:
+        return 1.0 if numerator == 0.0 else math.inf
+    return numerator / denominator
 
 
 def exact_terms(values: Iterable[float]) -> list[float]:
@@ -285,6 +287,18 @@ def exact_terms(values: Iterable[float]) -> list[float]:
         terms.append(term)
         rest.append(-term)
     return terms
+
+
+_FOLD = 64
+
+
+def folded(running: list[float]) -> list[float]:
+    """The running list, folded in place by :func:`exact_terms` first if it
+    is longer than ``_FOLD``. Called right before each ``math.fsum`` of it,
+    so each read sums a short list with the same exact sum."""
+    if len(running) > _FOLD:
+        running[:] = exact_terms(running)
+    return running
 
 
 def pending_set(instance: Instance, processed: set[str], t: int) -> set[Job]:
@@ -371,7 +385,8 @@ def write_instance_csv(instance: Instance, path: Path | str) -> None:
 
 
 def read_instance_csv(path: Path | str) -> Instance:
-    """Parse an instance file (UTF-8 CSV with header id,release,deadline,weight).
+    """Parse an instance file (UTF-8 CSV with header id,release,deadline,weight;
+    a leading byte-order mark is skipped).
 
     Comment (``#``) and blank lines may precede the header; a comment
     ``# horizon=T`` there fixes the horizon, otherwise the largest deadline
@@ -386,7 +401,7 @@ def read_instance_csv(path: Path | str) -> Instance:
     horizon: Optional[int] = None
     jobs: list[Job] = []
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for header_line, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line.startswith("#"):

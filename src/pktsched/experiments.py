@@ -32,6 +32,7 @@ from .core import (
     Schedule,
     schedule_weight,
     validate_schedule,
+    weight_ratio,
     write_instance_csv,
 )
 from .lap import LapTrace, lap_run
@@ -243,18 +244,20 @@ def ingest_snap_events(
     one instance each: timestamps are quantized linearly into release
     slots 1..slots_per_day and weights/deadlines are synthesized with the
     per-day-seeded agreeable models. Raises ValueError, before the file
-    is read, unless slots_per_day >= 1, the band's lo <= hi and
-    ts_col >= 0.
+    is read, unless slots_per_day >= 1, the band's lo <= hi, max_slack >= 1
+    and ts_col >= 0.
     """
     lo, hi = band
     if slots_per_day < 1:
         raise ValueError(f"slots_per_day must be >= 1, got {slots_per_day!r}")
+    if max_slack < 1:
+        raise ValueError(f"max_slack must be >= 1, got {max_slack!r}")
     if ts_col < 0:
         raise ValueError(f"ts_col must be >= 0, got {ts_col!r}")
     if lo > hi:
         raise ValueError(f"band must have lo <= hi, got {band!r}")
     events: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -292,16 +295,13 @@ def ingest_snap_events(
 
 
 def competitive_ratio(instance: Instance, schedule: Schedule, best: float) -> float:
-    """The instance's optimal weight ``best`` over the schedule's weight (1
-    when both are zero). Raises InvalidSchedule for a schedule the
-    instance does not admit."""
+    """``core.weight_ratio`` of the instance's optimal weight ``best`` and the
+    schedule's weight. Raises InvalidSchedule for a schedule the instance
+    does not admit."""
     ok, violations = validate_schedule(instance, schedule)
     if not ok:
         raise InvalidSchedule("; ".join(violations))
-    achieved = schedule_weight(schedule)
-    if achieved == 0.0:
-        return 1.0 if best == 0.0 else math.inf
-    return best / achieved
+    return weight_ratio(best, schedule_weight(schedule))
 
 
 @dataclass(frozen=True)
@@ -359,8 +359,10 @@ class ExperimentConfig:
                 raise ValueError(f"k sweep values must be whole numbers, got {value!r}")
             if not 0 <= value < math.inf:
                 raise ValueError(f"values must be finite and >= 0, got {value!r}")
-        if self.dataset in ("uniform", "powerlaw") and self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
+        if self.dataset in ("uniform", "powerlaw"):
+            if self.trials < 1:
+                raise ValueError(f"trials must be >= 1, got {self.trials!r}")
+            self.generator_spec(self.seed)  # checks the generator fields
         if not self.rho_excess >= 0:
             raise ValueError("rho_excess must be >= 0")
         for i, name in enumerate(self.algorithms):
@@ -369,6 +371,13 @@ class ExperimentConfig:
             if name not in PREDICTION_ALGORITHMS:
                 OnlineStepPolicy.parse(self.spelled(name))
         OnlineStepPolicy.parse(self.spelled(self.fallback))
+
+    def generator_spec(self, seed: int) -> GeneratorSpec:
+        """The recipe of a generated trial with this seed."""
+        return GeneratorSpec(
+            kind=self.dataset, horizon=self.horizon, lo=self.lo, hi=self.hi,
+            a=self.a, m=self.m, max_slack=self.max_slack, seed=seed,
+        )
 
     def spelled(self, name: str) -> str:
         """``name`` as :func:`run_algorithm` reads it: a bare ``edf-alpha``
@@ -379,11 +388,13 @@ class ExperimentConfig:
 def parse_config_file(path: Path | str) -> ExperimentConfig:
     """Read a flat ``key = value`` config file; ``#`` starts a comment.
 
-    Raises ValueError naming every required key (``dataset``, ``sweep``,
+    Raises ParseError for a key set twice (``T`` and ``horizon`` are one
+    key), and ValueError naming every required key (``dataset``, ``sweep``,
     ``values``) that the file leaves out.
     """
     fields: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    first_line: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.partition("#")[0].strip()
             if not line:
@@ -395,6 +406,13 @@ def parse_config_file(path: Path | str) -> ExperimentConfig:
                 name, typed = _typed_field(ExperimentConfig, key, value)
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from exc
+            if name in first_line:
+                raise ParseError(
+                    f"key {key.strip()!r} sets {name!r} again "
+                    f"(first on line {first_line[name]})",
+                    line_no,
+                )
+            first_line[name] = line_no
             fields[name] = typed
     missing = [
         f.name
@@ -450,18 +468,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     """
     if config.dataset in ("uniform", "powerlaw"):
         realizations = [
-            generate(
-                GeneratorSpec(
-                    kind=config.dataset,
-                    horizon=config.horizon,
-                    lo=config.lo,
-                    hi=config.hi,
-                    a=config.a,
-                    m=config.m,
-                    max_slack=config.max_slack,
-                    seed=derive_seed(config.seed, "instance", trial),
-                )
-            )
+            generate(config.generator_spec(derive_seed(config.seed, "instance", trial)))
             for trial in range(config.trials)
         ]
     else:

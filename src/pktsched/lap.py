@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import _FOLD, Instance, Schedule, _Record, _slot_setters, exact_terms
+from .core import Instance, Schedule, _Record, _slot_setters, folded, weight_ratio
 from .online import Buffer, OnlineStepPolicy, drive
 from .prediction import build_choices
 
@@ -95,17 +95,13 @@ def local_test(
 
     The denominator is one correctly-rounded sum over the individual
     processed weights and the candidate, so a denominator set equal to the
-    numerator's yields a ratio of exactly 1. Ratio conventions: 1 when both
-    sides are zero, infinity when only the denominator is. Returns
-    (ratio <= rho, ratio).
+    numerator's yields a ratio of exactly 1. Ratio conventions
+    (``core.weight_ratio``): 1 when both sides are zero, infinity when only
+    the denominator is. Returns (ratio <= rho, ratio).
     """
     check_threshold(rho)
-    numerator = prefix_opt[t]
     denominator = math.fsum((*processed_weights, candidate_weight))
-    if denominator == 0.0:
-        ratio = 1.0 if numerator == 0.0 else math.inf
-    else:
-        ratio = numerator / denominator
+    ratio = weight_ratio(prefix_opt[t], denominator)
     return ratio <= rho, ratio
 
 
@@ -124,8 +120,8 @@ def lap_run(
     solved on the first run and shared by every later run on the same
     ``Instance``. The schedule and trace span the realization's horizon:
     no realized job is feasible after it, whatever the prediction's.
-    Past 64 processed weights the list is folded by ``exact_terms`` before
-    a local test reads it; its exact sum, hence every ratio, is unchanged.
+    Each local test reads the processed weights through ``core.folded``,
+    which leaves their exact sum, hence every ratio, unchanged.
     """
     check_threshold(rho)
     choices = build_choices(prediction)
@@ -140,10 +136,8 @@ def lap_run(
         ratio: Optional[float] = None
         source = ONLINE
         if predicted is not None:
-            if len(processed_weights) > _FOLD:
-                processed_weights[:] = exact_terms(processed_weights)
             passed, ratio = local_test(
-                series, processed_weights, predicted.weight, t, rho
+                series, folded(processed_weights), predicted.weight, t, rho
             )
             if passed:
                 source = PREDICTION

@@ -44,13 +44,12 @@ from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 from .core import (
-    _FOLD,
     Instance,
     Job,
     Schedule,
     canonicalize,
-    exact_terms,
     feasible_at,
+    folded,
     schedule_weight,
 )
 
@@ -412,12 +411,11 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     in the heap are dropped when they reach its top. Jobs released at t
     cannot change slots before t, and an evicted job that EDF had placed
     at slot s < t leaves slots before s unchanged (EDF passed it over
-    there), so only slots s..t are placed again. values[t] sums the
-    placed weights of slots 0..t, the multiset that slots 0..t of
-    ``canonicalize(...)`` hold. Each whole block of 64 placed weights is
-    folded by ``exact_terms`` into the block's mark, so a slot sums the
-    last mark and at most 64 weights past it: the same exact sum, rounded
-    once. Placing slots again from s drops the marks of blocks past s.
+    there), so only slots s..t are placed again. values[t] is the weight
+    of slots 0..t, the multiset that slots 0..t of ``canonicalize(...)``
+    hold: one ``math.fsum`` through ``core.folded`` of a list of each
+    nonzero weight placed and the negation of each one undone, so no
+    value is -0.0.
     """
     ranked = instance.ranked
     released_at = instance.by_slot.released
@@ -426,8 +424,6 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     placed: list[Optional[int]] = []
     placed_at: dict[int, int] = {}
     weights: list[float] = []
-    # marks[k] = exact_terms(weights[:_FOLD * k]).
-    marks: list[list[float]] = [[]]
     # (deadline, rank) is edf_first order.
     waiting: list[tuple[int, int]] = []
     values: list[float] = []
@@ -446,7 +442,9 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
             undone = [r for r in placed[start:] if r is not None]
             for r in undone:
                 del placed_at[r]
-            del placed[start:], weights[start:], marks[start // _FOLD + 1 :]
+                if weight := ranked[r].weight:
+                    weights.append(-weight)
+            del placed[start:]
             undone += [r for _, r in waiting]
             replay = sorted(
                 (r for r in undone if slot_of[r] is not None), key=release.__getitem__
@@ -463,12 +461,9 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
                 rank = heappop(waiting)[1]
                 placed.append(rank)
                 placed_at[rank] = s
-                weights.append(ranked[rank].weight)
+                if weight := ranked[rank].weight:
+                    weights.append(weight)
             else:
                 placed.append(None)
-                weights.append(0.0)
-        while len(weights) > _FOLD * len(marks):
-            base = _FOLD * (len(marks) - 1)
-            marks.append(exact_terms(marks[-1] + weights[base : base + _FOLD]))
-        values.append(math.fsum(marks[-1] + weights[_FOLD * (len(marks) - 1) :]))
+        values.append(math.fsum(folded(weights)))
     return tuple(values)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .core import _FOLD, Instance, Job, Schedule, exact_terms, feasible_at
+from .core import Instance, Job, Schedule, feasible_at, folded
 from .offline import opt_schedule
 
 
@@ -60,9 +60,9 @@ def prediction_error(realization: Instance, prediction: Instance) -> float:
     prefix-optimum weight over jobs released by t and the denominator is
     the weight collected through t by replaying the prediction's optimal
     choices. Returns infinity when some positive numerator meets a zero
-    denominator, and 1 when every numerator is zero. Past 64 collected
-    weights the list is folded by ``exact_terms`` before it is summed,
-    which leaves every denominator unchanged.
+    denominator, and 1 when every numerator is zero. The collected
+    weights are summed through ``core.folded``, which leaves every
+    denominator unchanged.
     """
     series = realization.prefix_opt
     followed = apply_choices(build_choices(prediction), realization)
@@ -74,9 +74,7 @@ def prediction_error(realization: Instance, prediction: Instance) -> float:
         numerator = series[t]
         if numerator == 0.0:
             continue
-        if len(collected) > _FOLD:
-            collected[:] = exact_terms(collected)
-        denominator = math.fsum(collected)
+        denominator = math.fsum(folded(collected))
         if denominator == 0.0:
             return math.inf
         ratios.append(numerator / denominator)

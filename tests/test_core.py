@@ -292,6 +292,17 @@ def test_csv_comments_only_above_the_header(tmp_path):
     assert exc.value.line_no == 2
 
 
+def test_csv_skips_a_byte_order_mark(tmp_path, j2):
+    # Spreadsheet programs start a UTF-8 file with the bytes EF BB BF.
+    path = tmp_path / "bom.csv"
+    write_instance_csv(Instance(j2.jobs, 10), path)
+    text = path.read_bytes()
+    path.write_bytes(b"\xef\xbb\xbf" + text)
+    assert read_instance_csv(path) == Instance(j2.jobs, 10)
+    path.write_bytes(b"\xef\xbb\xbf" + text.split(b"\n", 1)[1])
+    assert read_instance_csv(path) == j2
+
+
 def test_csv_horizon_comment(tmp_path, j2):
     path = tmp_path / "inst.csv"
     write_instance_csv(Instance(j2.jobs, 10), path)

@@ -1,9 +1,10 @@
 """Exact running sums past the fold.
 
 The prefix-optimum series, the prediction error and LAP's local test each
-fold a long prefix of weights into ``exact_terms`` before summing it. These
-checks run instances of 150-400 slots, where every caller folds several
-times, against full-list ``math.fsum`` oracles.
+sum a running list of weights through ``core.folded``, which folds a long
+list into ``exact_terms`` before the sum reads it. These checks run
+instances of 150-400 slots, where every caller folds several times,
+against full-list ``math.fsum`` oracles.
 """
 
 import math
@@ -28,13 +29,14 @@ from pktsched import (
     prefix_opt_series,
     schedule_weight,
 )
-from pktsched import lap, offline, prediction
+from pktsched import core, offline
 from pktsched.core import exact_terms
 from conftest import (
     WIDE_WEIGHTS,
     adversarial_prediction,
     edge_shape_instances,
     long_instance,
+    mk,
 )
 from reference import (
     local_ratios_by_full_sums,
@@ -94,8 +96,8 @@ def test_prefix_series_past_the_fold_matches_resolve():
         values = prefix_opt_series(inst)
         for t in _fold_slots(inst.horizon):
             assert values[t] == resolved_prefix_opt(inst, t), t
-    # Every slot of two instances: a replay that reaches back past a
-    # boundary must drop that block's mark.
+    # Every slot of two instances: a replay undoes the weights it places
+    # again by appending their negations, before and after folds.
     for inst in instances[:2]:
         values = prefix_opt_series(inst)
         assert values == tuple(
@@ -143,6 +145,64 @@ def test_one_consistency_past_the_fold():
             assert competitive_ratio(inst, sched, best) == 1.0
 
 
+def _sums(inst, pred):
+    """Every exact sum read on a fresh copy of ``inst`` (so its series is
+    solved again): the series, the prediction error against ``pred`` and
+    each LAP run's local ratios, one list of floats per call."""
+    real = Instance(inst.jobs, inst.horizon)
+    found = [list(prefix_opt_series(real)), [prediction_error(real, pred)]]
+    for fallback in FALLBACKS:
+        _, trace = lap_run(pred, real, 1.0, fallback)
+        found.append([r.local_ratio for r in trace.rows if r.local_ratio is not None])
+    return found
+
+
+def test_fold_cadence_leaves_every_sum_unchanged(monkeypatch):
+    rng = random.Random(439)
+    replay_heavy = generate(
+        GeneratorSpec("powerlaw", horizon=100, a=30, m=300, max_slack=40, seed=1)
+    )
+    instances = _long_instances(rng, 3) + list(edge_shape_instances(rng, rounds=5))
+    cases = [
+        (inst, pred)
+        for inst in instances + [replay_heavy]
+        for pred in _predictions(rng, inst)
+    ]
+    by_cadence = []
+    for fold in (1, 64, 10**9):
+        monkeypatch.setattr(core, "_FOLD", fold)
+        # repr tells -0.0 from 0.0: the sums must be bit-identical.
+        by_cadence.append([repr(_sums(inst, pred)) for inst, pred in cases])
+    assert by_cadence[0] == by_cadence[1] == by_cadence[2]
+    # Unfolded, the series' list keeps every entry: the power-law instance
+    # undoes over a hundred placed weights.
+    lists = []
+    monkeypatch.setattr(offline, "folded", lambda running: lists.append(running) or running)
+    prefix_opt_series(replay_heavy)
+    assert sum(w < 0 for w in lists[-1]) >= 100
+
+
+@pytest.mark.parametrize("fold", [0, 1, 64])
+def test_no_sum_is_negative_zero(monkeypatch, fold):
+    # z, of weight zero, is placed at slot 0; at slot 1 b evicts it, so the
+    # series places slot 0 again and undoes z's weight. A negated zero in a
+    # list that holds only zeros, or nothing once folded, would make fsum
+    # return -0.0 on Pythons that keep the sign of a zero sum.
+    monkeypatch.setattr(core, "_FOLD", fold)
+    rng = random.Random(443)
+    instances = [
+        mk([("y", 0, 3, 1.0), ("z", 0, 2, weight), ("a", 1, 3, 1.0), ("b", 1, 3, 1.0)])
+        for weight in (0.0, -0.0)
+    ] + list(edge_shape_instances(rng, rounds=10))
+    for inst in instances:
+        assert prefix_opt_series(inst) == tuple(
+            resolved_prefix_opt(inst, t) for t in range(inst.horizon + 1)
+        )
+        for pred in _predictions(rng, inst):
+            for found in _sums(inst, pred):
+                assert all(math.copysign(1.0, x) == 1.0 for x in found), found
+
+
 def _huge_instance(rng):
     """70-200 slots of weights from 1e306 to 8e307: a few jobs up to 8e307,
     or many near 1e306, so the weight so far passes the float maximum on
@@ -182,15 +242,16 @@ def _outcomes(cases):
 
 def test_overflow_matches_unfolded_sums(monkeypatch):
     # Each caller returns what it returns with no fold, or raises the same
-    # OverflowError: a fold runs only right before a read of the same sum.
+    # OverflowError: a fold runs only right before a read of the same sum,
+    # and every partial sum of the series' signed list lies between sums
+    # that were read.
     rng = random.Random(433)
     cases = []
     for _ in range(60):
         inst = _huge_instance(rng)
         cases.append((inst, adversarial_prediction(inst, "reversed", 0)))
     folded = _outcomes(cases)
-    for module in (offline, prediction, lap):
-        monkeypatch.setattr(module, "_FOLD", 10**9)
+    monkeypatch.setattr(core, "_FOLD", 10**9)
     unfolded = _outcomes(cases)
     assert folded == unfolded
     raised = [o for o in folded if isinstance(o, str)]

@@ -200,6 +200,15 @@ def test_ingest_comma_separated(tmp_path):
     assert len(instances) == 1 and len(instances[0].jobs) in (309, 310)
 
 
+def test_ingest_skips_a_byte_order_mark(tmp_path):
+    # The timestamp is field 0, right after the mark.
+    lines = "".join(f"{i * 86_400 // 310},u{i}\n" for i in range(310)).encode()
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(lines)
+    marked.write_bytes(b"\xef\xbb\xbf" + lines)
+    assert ingest_snap_events(marked, ts_col=0) == ingest_snap_events(plain, ts_col=0)
+
+
 def test_ingest_errors(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("", encoding="utf-8")
@@ -218,8 +227,9 @@ def test_ingest_errors(tmp_path):
     [({"slots_per_day": 0}, "slots_per_day must be >= 1, got 0"),
      ({"slots_per_day": -3}, "slots_per_day must be >= 1, got -3"),
      ({"band": (500, 300)}, r"band must have lo <= hi, got \(500, 300\)"),
-     ({"ts_col": -3}, "ts_col must be >= 0, got -3")],
-    ids=["slots-zero", "slots-negative", "band-reversed", "ts-col-negative"],
+     ({"ts_col": -3}, "ts_col must be >= 0, got -3"),
+     ({"max_slack": 0}, "max_slack must be >= 1, got 0")],
+    ids=["slots-zero", "slots-negative", "band-reversed", "ts-col-negative", "slack-zero"],
 )
 def test_ingest_rejects_bad_arguments_before_reading(tmp_path, kwargs, message):
     # The file does not exist: an argument checked after the read would
@@ -540,6 +550,16 @@ def test_config_validation():
     for trials in (0, -2):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             _tiny_config(trials=trials)
+    # A generated dataset's generator fields are checked as GeneratorSpec
+    # checks them; an event log does not read them.
+    for fields, message in (
+        ({"horizon": 0}, "horizon must be >= 1"),
+        ({"lo": 3, "hi": 2}, "need 0 <= lo <= hi"),
+        ({"dataset": "powerlaw", "a": 0.0}, "a must be finite and > 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _tiny_config(**fields)
+    _tiny_config(dataset="events.txt", horizon=0, lo=3, hi=2)
     with pytest.raises(ValueError, match="values must name at least one"):
         _tiny_config(values=())
     for sweep, values in (
@@ -616,6 +636,28 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
         parse_config_file(cfg)
     cfg.write_text("dataset = uniform\nrho = 0.1\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 2: unknown key 'rho'"):
+        parse_config_file(cfg)
+
+
+def test_config_file_skips_a_byte_order_mark(tmp_path):
+    text = "dataset = uniform\nsweep = sigma\nvalues = 0, 0.1\n".encode()
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert parse_config_file(marked) == parse_config_file(plain)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [("values = 0\nvalues = 0.1", "key 'values' sets 'values' again"),
+     ("T = 5\nhorizon = 6", "key 'horizon' sets 'horizon' again"),
+     ("slack = 3\nMAX_SLACK = 4", "key 'MAX_SLACK' sets 'max_slack' again")],
+    ids=["same-spelling", "alias-first", "alias-then-upper-case"],
+)
+def test_config_file_rejects_a_key_set_twice(tmp_path, lines, message):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(f"dataset = uniform\nsweep = sigma\n# note\n{lines}\n", "utf-8")
+    with pytest.raises(ParseError, match=f"^line 5: {message} \\(first on line 4\\)$"):
         parse_config_file(cfg)
 
 
