@@ -125,9 +125,9 @@ class Instance:
     What is derived from the instance is a ``cached_property``, built on
     first read and kept with the instance: the id map, the ``heavier_first``
     order (``ranked``) that the optimum, the series and every online run
-    share, the per-slot index (``by_slot``) that the series and every
-    online run read, the prefix-optimum series and the optimum. No caller
-    changes one, so every caller shares it.
+    share, the per-slot tables that every online run reads (``arrivals``,
+    ``expiring`` and ``released``, the series' only one), the
+    prefix-optimum series and the optimum. No caller changes one.
     """
 
     jobs: tuple[Job, ...]
@@ -170,9 +170,30 @@ class Instance:
         return tuple(sorted(self.jobs, key=attrgetter("weight"), reverse=True))
 
     @cached_property
-    def by_slot(self) -> "SlotIndex":
-        """The :class:`SlotIndex` of this instance, built on first read."""
-        return SlotIndex(self)
+    def arrivals(self) -> tuple[dict[str, Job], ...]:
+        """``arrivals[t]``: the jobs released at slot t in 0..horizon, as a
+        dict from id to job, in id order."""
+        arrivals: list[dict[str, Job]] = [{} for _ in range(self.horizon + 1)]
+        for job in self.jobs:
+            arrivals[job.release][job.id] = job
+        return tuple(arrivals)
+
+    @cached_property
+    def expiring(self) -> tuple[tuple[str, ...], ...]:
+        """``expiring[t]``: the ids of the jobs whose deadline is slot t."""
+        expiring: list = [[] for _ in range(self.horizon + 1)]
+        for job in self.jobs:
+            expiring[job.deadline].append(job.id)
+        return _tuples(expiring)
+
+    @cached_property
+    def released(self) -> tuple[tuple[int, ...], ...]:
+        """``released[t]``: the ranks (indexes into ``ranked``) of the jobs
+        released at slot t, in rank order."""
+        released: list = [[] for _ in range(self.horizon + 1)]
+        for rank, job in enumerate(self.ranked):
+            released[job.release].append(rank)
+        return _tuples(released)
 
     @cached_property
     def prefix_opt(self) -> tuple[float, ...]:
@@ -195,53 +216,12 @@ class Instance:
         return canonicalize(self, _optimal_ids(self))
 
 
-class SlotIndex:
-    """What changes at each slot t in 0..horizon of an instance, and its
-    ``edf_first`` order; built once per ``Instance`` (``Instance.by_slot``)
-    and never changed.
-
-    - ``arrivals[t]``: the jobs released at t, as a dict from id to job, in
-      id order;
-    - ``expiring[t]``: the ids of the jobs whose deadline is t;
-    - ``released[t]``: the ranks (indexes into ``Instance.ranked``) of the
-      jobs released at t, in rank order;
-    - ``edf``: the jobs in :func:`edf_first` order, and ``edf_of[rank]``
-      the rank's position there. ``edf_first`` breaks deadline ties by
-      ``heavier_first``, so this is a stable sort of the ranks by deadline.
-
-    Every rank is one int object, shared by ``released`` and ``edf_of``.
-    A plain slots class: a frozen dataclass adds 1-2 ms to importing the
-    package.
-    """
-
-    __slots__ = ("arrivals", "expiring", "released", "edf", "edf_of")
-
-    def __init__(self, instance: Instance) -> None:
-        ranked = instance.ranked
-        slots = range(instance.horizon + 1)
-        arrivals: list[dict[str, Job]] = [{} for _ in slots]
-        expiring: list = [[] for _ in slots]
-        released: list = [[] for _ in slots]
-        for job in instance.jobs:
-            arrivals[job.release][job.id] = job
-            expiring[job.deadline].append(job.id)
-        ranks = list(range(len(ranked)))
-        for rank, job in zip(ranks, ranked):
-            released[job.release].append(rank)
-        # Each list is let go as its tuple is made, so the lists and the
-        # tuples are never all held at once.
-        for t in slots:
-            expiring[t] = tuple(expiring[t])
-            released[t] = tuple(released[t])
-        edf = sorted(ranks, key=list(map(attrgetter("deadline"), ranked)).__getitem__)
-        edf_of = ranks[:]
-        for position, rank in zip(ranks, edf):
-            edf_of[rank] = position
-        self.arrivals: tuple[dict[str, Job], ...] = tuple(arrivals)
-        self.expiring: tuple[tuple[str, ...], ...] = tuple(expiring)
-        self.released: tuple[tuple[int, ...], ...] = tuple(released)
-        self.edf: tuple[Job, ...] = tuple(map(ranked.__getitem__, edf))
-        self.edf_of: tuple[int, ...] = tuple(edf_of)
+def _tuples(lists: list[list]) -> tuple[tuple, ...]:
+    """The lists as a tuple of tuples. Each list is let go as its tuple is
+    made, so the lists and the tuples are never all held at once."""
+    for t, items in enumerate(lists):
+        lists[t] = tuple(items)
+    return tuple(lists)
 
 
 @dataclass(frozen=True)

@@ -164,12 +164,15 @@ def _typed_field(cls, key: str, text: str) -> tuple[str, object]:
 
 
 def parse_generator_spec(text: str, seed: Optional[int] = None) -> GeneratorSpec:
-    """Parse ``uniform:T=75,lo=2,hi=8,seed=1`` style spec strings."""
+    """Parse ``uniform:T=75,lo=2,hi=8,seed=1`` style spec strings; a key
+    given twice, aliases included, raises ValueError naming it."""
     kind, _, rest = text.partition(":")
     fields: dict = {"kind": kind.strip()}
     for part in filter(None, (p.strip() for p in rest.split(","))):
         key, _, value = part.partition("=")
         name, typed = _typed_field(GeneratorSpec, key, value)
+        if name in fields:
+            raise ValueError(f"key {key.strip()!r} sets {name!r} again")
         fields[name] = typed
     if seed is not None:
         fields["seed"] = seed
@@ -229,6 +232,17 @@ def perturb(instance: Instance, spec: PerturbationSpec) -> Instance:
     return Instance.of(jobs)
 
 
+def _check_ingest_arguments(slots_per_day: int, max_slack: int, ts_col: int) -> None:
+    """The checks of the :func:`ingest_snap_events` arguments that an
+    event-log :class:`ExperimentConfig` sets too; raise ValueError."""
+    if slots_per_day < 1:
+        raise ValueError(f"slots_per_day must be >= 1, got {slots_per_day!r}")
+    if max_slack < 1:
+        raise ValueError(f"max_slack must be >= 1, got {max_slack!r}")
+    if ts_col < 0:
+        raise ValueError(f"ts_col must be >= 0, got {ts_col!r}")
+
+
 def ingest_snap_events(
     path: Path | str,
     slots_per_day: int = 75,
@@ -248,12 +262,7 @@ def ingest_snap_events(
     and ts_col >= 0.
     """
     lo, hi = band
-    if slots_per_day < 1:
-        raise ValueError(f"slots_per_day must be >= 1, got {slots_per_day!r}")
-    if max_slack < 1:
-        raise ValueError(f"max_slack must be >= 1, got {max_slack!r}")
-    if ts_col < 0:
-        raise ValueError(f"ts_col must be >= 0, got {ts_col!r}")
+    _check_ingest_arguments(slots_per_day, max_slack, ts_col)
     if lo > hi:
         raise ValueError(f"band must have lo <= hi, got {band!r}")
     events: list[int] = []
@@ -322,12 +331,13 @@ class ExperimentConfig:
 
     ``dataset`` is ``uniform`` or ``powerlaw``, run for ``trials`` >= 1
     generated trials, or a path to an event log (in which case trials are
-    its qualifying days). ``sweep`` is ``sigma`` (weight noise) or ``k``
-    (deadline shift, whole ``values`` only). ``algorithms`` (each name
-    once) and ``fallback`` take the names :func:`run_algorithm` reads; a bare
-    ``edf-alpha`` runs with threshold ``alpha``. The learning-augmented
-    scheduler runs with threshold 1 + rho_excess and the named fallback;
-    the benchmarks ignore the prediction.
+    its qualifying days); the fields it reads are checked when the config is
+    built, as the generator or the ingest checks them. ``sweep`` is
+    ``sigma`` (weight noise) or ``k`` (deadline shift, whole ``values``
+    only). ``algorithms`` (each name once) and ``fallback`` take the names
+    :func:`run_algorithm` reads; a bare ``edf-alpha`` runs with threshold
+    ``alpha``. The learning-augmented scheduler runs with threshold 1 +
+    rho_excess and the named fallback; the benchmarks ignore the prediction.
     """
 
     dataset: str
@@ -363,6 +373,8 @@ class ExperimentConfig:
             if self.trials < 1:
                 raise ValueError(f"trials must be >= 1, got {self.trials!r}")
             self.generator_spec(self.seed)  # checks the generator fields
+        else:
+            _check_ingest_arguments(self.slots_per_day, self.max_slack, self.ts_col)
         if not self.rho_excess >= 0:
             raise ValueError("rho_excess must be >= 0")
         for i, name in enumerate(self.algorithms):

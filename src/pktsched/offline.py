@@ -406,33 +406,35 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     re-solving opt_schedule per release prefix, at the cost of a single
     matching overall.
 
-    The canonical (EDF) placement of that selection is kept through slot
-    t - 1, with a heap of its released, unplaced jobs; evicted jobs still
-    in the heap are dropped when they reach its top. Jobs released at t
-    cannot change slots before t, and an evicted job that EDF had placed
-    at slot s < t leaves slots before s unchanged (EDF passed it over
-    there), so only slots s..t are placed again. values[t] is the weight
-    of slots 0..t, the multiset that slots 0..t of ``canonicalize(...)``
-    hold: one ``math.fsum`` through ``core.folded`` of a list of each
-    nonzero weight placed and the negation of each one undone, so no
-    value is -0.0.
+    The releases come from ``Instance.released``. The canonical (EDF)
+    placement of that selection is kept through slot t - 1, with a heap of
+    its released, unplaced jobs, keyed as ``online.Buffer`` keys them
+    (``deadline * n + rank``); evicted jobs still in the heap are dropped
+    when they reach its top. Jobs released at t cannot change slots before
+    t, and an evicted job that EDF had placed at slot s < t leaves slots
+    before s unchanged (EDF passed it over there), so only slots s..t are
+    placed again. values[t] is the weight of slots 0..t, the multiset that
+    slots 0..t of ``canonicalize(...)`` hold: one ``math.fsum`` through
+    ``core.folded`` of a list of each nonzero weight placed and the negation
+    of each one undone, so no value is -0.0.
     """
     ranked = instance.ranked
-    released_at = instance.by_slot.released
+    released_at = instance.released
     matching = _SlotMatching(ranked)
     release, deadline, slot_of = matching.release, matching.deadline, matching.slot_of
     placed: list[Optional[int]] = []
     placed_at: dict[int, int] = {}
     weights: list[float] = []
-    # (deadline, rank) is edf_first order.
-    waiting: list[tuple[int, int]] = []
+    # Every rank is < n, so deadline * n + rank is edf_first order.
+    n = len(ranked)
+    waiting: list[int] = []
     values: list[float] = []
     for t in range(instance.horizon + 1):
         start = t
         for rank in released_at[t]:
             added, evicted = matching.insert(rank)
             if added:
-                heappush(waiting, (deadline[rank], rank))
+                heappush(waiting, deadline[rank] * n + rank)
             if evicted is not None and evicted in placed_at:
                 start = min(start, placed_at[evicted])
         # Selected ranks that re-enter the heap at their release while slots
@@ -445,7 +447,7 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
                 if weight := ranked[r].weight:
                     weights.append(-weight)
             del placed[start:]
-            undone += [r for _, r in waiting]
+            undone += [key % n for key in waiting]
             replay = sorted(
                 (r for r in undone if slot_of[r] is not None), key=release.__getitem__
             )
@@ -453,12 +455,12 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
         i = 0
         for s in range(start, t + 1):
             while i < len(replay) and release[replay[i]] <= s:
-                heappush(waiting, (deadline[replay[i]], replay[i]))
+                heappush(waiting, deadline[replay[i]] * n + replay[i])
                 i += 1
-            while waiting and slot_of[waiting[0][1]] is None:
+            while waiting and slot_of[waiting[0] % n] is None:
                 heappop(waiting)
             if waiting:
-                rank = heappop(waiting)[1]
+                rank = heappop(waiting) % n
                 placed.append(rank)
                 placed_at[rank] = s
                 if weight := ranked[rank].weight:

@@ -26,18 +26,13 @@ PHI = (1 + math.sqrt(5)) / 2
 
 
 class _Heap:
-    """A lazy-deletion heap of positions in one order of an instance's jobs.
+    """A lazy-deletion heap of int keys, one per pending job, and ``fed``,
+    the count of slots whose released ranks it has been fed (see
+    :meth:`Buffer._first`)."""
 
-    ``order`` holds the jobs by position, ``position[rank]`` is a rank's
-    position there (None when the position is the rank), and ``fed`` counts
-    the slots whose released ranks the heap has been fed.
-    """
+    __slots__ = ("entries", "fed")
 
-    __slots__ = ("order", "position", "entries", "fed")
-
-    def __init__(self, order: tuple[Job, ...], position: Optional[tuple[int, ...]]):
-        self.order = order
-        self.position = position
+    def __init__(self):
         self.entries: list[int] = []
         self.fed = 0
 
@@ -51,34 +46,36 @@ class Buffer:
     ``jobs``, so ``jobs`` after ``at(t)`` holds
     ``core.pending_set(instance, run_so_far, t)``. That holds when slots
     are skipped too: ``at(t)`` takes each slot since its last call in turn,
-    with one ``dict.update`` from the instance's ``by_slot.arrivals`` and
-    one pop per id in its ``expiring``. So a slot costs only what changes
-    at it, and a run on an ``Instance`` that was driven before sets up in
-    O(1). The index is never changed.
+    with one ``dict.update`` from the instance's ``arrivals`` and one pop
+    per id in its ``expiring``. So a slot costs only what changes at it,
+    and a run on an ``Instance`` that was driven before sets up in O(1).
+    The instance's tables are never changed.
 
-    :meth:`heaviest` and :meth:`earliest` read lazy-deletion heaps of ints:
-    ranks (``heavier_first`` order) and positions in the index's ``edf``
-    order (``edf_first`` order), so no sort key is built per job. A heap is
-    fed the ranks released (``by_slot.released``) and still pending on its
-    first read after they come, so a run that never reads it (LAP following
-    its prediction) pays nothing for it. An entry whose job has left
-    ``jobs`` is popped when it reaches the top. Each job is pushed and
-    popped at most once per heap: O(log n) amortized per read over an
-    n-job run, against O(b) to scan a b-job buffer.
+    :meth:`heaviest` and :meth:`earliest` read lazy-deletion heaps of int
+    keys (:class:`_Heap`): the ranks themselves (``heavier_first`` order),
+    and ``deadline * n + rank`` for an n-job instance. Every rank is < n, so
+    deadline ties break by rank, as ``edf_first`` breaks them: no sort key
+    is built per job and no order is sorted. A heap is fed the ranks
+    released (the instance's ``released``) and still pending on its first
+    read after they come, so a run that never reads it (LAP following its
+    prediction) pays nothing for it. An entry whose job has left ``jobs`` is
+    popped when it reaches the top. Each job is pushed and popped at most
+    once per heap: O(log n) amortized per read over an n-job run, against
+    O(b) to scan a b-job buffer.
     """
 
     def __init__(self, instance: Instance) -> None:
         self.jobs: dict[str, Job] = {}
-        index = instance.by_slot
-        self._arrivals = index.arrivals
-        self._expiring = index.expiring
-        self._released = index.released
+        self._arrivals = instance.arrivals
+        self._expiring = instance.expiring
+        self._released = instance.released
         self._ranked = instance.ranked
+        self._n = len(instance.ranked)
         # The last slot admitted; no job is released or expires past the
         # horizon, so it stops there.
         self._t = -1
-        self._heaviest = _Heap(instance.ranked, None)
-        self._earliest = _Heap(index.edf, index.edf_of)
+        self._heaviest = _Heap()
+        self._earliest = _Heap()
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -102,26 +99,28 @@ class Buffer:
 
     def heaviest(self) -> Optional[Job]:
         """First pending job in ``heavier_first`` order; None if empty."""
-        return self._first(self._heaviest)
+        return self._first(self._heaviest, 0)
 
     def earliest(self) -> Optional[Job]:
         """First pending job in ``edf_first`` order; None if empty."""
-        return self._first(self._earliest)
+        return self._first(self._earliest, self._n)
 
-    def _first(self, heap: _Heap) -> Optional[Job]:
+    def _first(self, heap: _Heap, n: int) -> Optional[Job]:
         """Feed the heap the pending ranks released since its last read,
-        pop the stale entries off its top, and return the top job."""
-        jobs, entries = self.jobs, heap.entries
+        pop the stale entries off its top, and return the top job. A key
+        is ``deadline * n + rank`` (``key % n`` is the rank), or with n = 0
+        the rank itself."""
+        jobs, entries, ranked = self.jobs, heap.entries, self._ranked
         if heap.fed <= self._t:
-            ranked, position = self._ranked, heap.position
             for released in self._released[heap.fed : self._t + 1]:
                 for rank in released:
-                    if ranked[rank].id in jobs:
-                        heappush(entries, rank if position is None else position[rank])
+                    job = ranked[rank]
+                    if job.id in jobs:
+                        heappush(entries, job.deadline * n + rank if n else rank)
             heap.fed = self._t + 1
-        order = heap.order
         while entries:
-            job = order[entries[0]]
+            key = entries[0]
+            job = ranked[key % n if n else key]
             if job.id in jobs:
                 return job
             heappop(entries)

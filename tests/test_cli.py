@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from pktsched import (
+    ExperimentConfig,
     GeneratorSpec,
     PerturbationSpec,
     generate,
@@ -239,6 +240,8 @@ def _config(tmp_path, text, name="bad.cfg"):
       "{tmp}/nodir/x.csv: No such file or directory"),
      (["gen", "--spec", "bogus:T=5", "--out", "{tmp}/x.csv"], "unknown generator kind 'bogus'"),
      (["gen", "--spec", "uniform:T=abc", "--out", "{tmp}/x.csv"], "key 'T': invalid literal for int() with base 10: 'abc'"),
+     (["gen", "--spec", "uniform:T=5,horizon=6", "--out", "{tmp}/x.csv"],
+      "key 'horizon' sets 'horizon' again"),
      (["gen", "--spec", "powerlaw:m=inf", "--out", "{tmp}/x.csv"], "m must be finite and >= 0, got inf"),
      (["gen", "--spec", "powerlaw:a=nan", "--out", "{tmp}/x.csv"], "a must be finite and > 0, got nan"),
      (["gen", "--spec", "powerlaw:m=nan", "--out", "{tmp}/x.csv"], "m must be finite and >= 0, got nan"),
@@ -252,7 +255,7 @@ def _config(tmp_path, text, name="bad.cfg"):
      (["ingest", "--in", "{tmp}/missing.txt", "--out-dir", "{tmp}/days", "--ts-col", "-3"],
       "ts_col must be >= 0, got -3")],
     ids=["run-trace", "run-lap-no-pred", "run-blind-no-pred", "run-trace-not-lap", "gen-out",
-         "gen-kind", "gen-value", "gen-m-inf", "gen-a-nan", "gen-m-nan",
+         "gen-kind", "gen-value", "gen-key-twice", "gen-m-inf", "gen-a-nan", "gen-m-nan",
          "experiment-missing", "experiment-key",
          "experiment-no-values", "ingest-missing", "ingest-slots", "ingest-ts-col"],
 )
@@ -272,6 +275,32 @@ def test_unusable_path_or_option_exits_with_one_line(tmp_path, j2, command, mess
     # A string code is printed alone on exit, with no traceback; run has
     # printed no schedule before it fails.
     assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "key, field, value, message",
+    [("slots_per_day", "slots_per_day", 0, "slots_per_day must be >= 1, got 0"),
+     ("slack", "max_slack", 0, "max_slack must be >= 1, got 0"),
+     ("ts_col", "ts_col", -1, "ts_col must be >= 0, got -1")],
+    ids=["slots-per-day", "slack", "ts-col"],
+)
+def test_event_log_config_fails_before_making_out_dir(tmp_path, key, field, value, message, capsys):
+    # An event-log config runs ingest_snap_events' own argument checks
+    # when it is built, so `experiment` fails before it makes out_dir.
+    events = tmp_path / "events.txt"
+    events.write_text("1 2 86400\n", encoding="utf-8")
+    out = tmp_path / "evout"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig(
+            dataset=str(events), sweep="sigma", values=(0.0,), out_dir=str(out), **{field: value}
+        )
+    cfg = _config(
+        tmp_path, f"dataset = {events}\nsweep = sigma\nvalues = 0\n{key} = {value}\nout_dir = {out}\n"
+    )
+    with pytest.raises(SystemExit, match=f"^pktsched experiment: {message}$"):
+        main(["experiment", "--config", str(cfg)])
+    assert not out.exists()
     assert capsys.readouterr() == ("", "")
 
 

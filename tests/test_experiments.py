@@ -108,6 +108,14 @@ def test_parse_generator_spec():
     assert spec == GeneratorSpec("uniform", horizon=10, lo=1, hi=3, seed=7)
     spec = parse_generator_spec("powerlaw:a=150,m=500", seed=3)
     assert spec.kind == "powerlaw" and spec.seed == 3
+    # A key given twice is an error, aliases included.
+    for text, message in (
+        ("uniform:lo=1,lo=2", "key 'lo' sets 'lo' again"),
+        ("uniform:T=5,horizon=6", "key 'horizon' sets 'horizon' again"),
+        ("uniform:max_slack=3,SLACK=4", "key 'SLACK' sets 'max_slack' again"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_generator_spec(text)
 
 
 def test_perturb_identity_cases(j2):
@@ -395,9 +403,9 @@ def test_sweep_solves_each_realizations_series_once(monkeypatch):
 def test_sweep_builds_each_realizations_index_once(monkeypatch):
     # Every online run of a trial, lap's at every sweep value included,
     # drives the trial's realization: its heavier_first order (ranked) and
-    # its per-slot index are built once, and the index of no prediction is
-    # ever built, since no prediction is driven. A prediction's ranked order
-    # is built once too, for its optimum.
+    # each of its three per-slot tables are built once, and no table of a
+    # prediction is ever built, since no prediction is driven. A
+    # prediction's ranked order is built once too, for its optimum.
     built, realizations, predictions = Counter(), [], []
     original_generate, original_perturb = experiments.generate, experiments.perturb
 
@@ -409,7 +417,8 @@ def test_sweep_builds_each_realizations_index_once(monkeypatch):
         predictions.append(original_perturb(instance, spec))
         return predictions[-1]
 
-    for name in ("ranked", "by_slot"):
+    tables = ("arrivals", "expiring", "released")
+    for name in ("ranked", *tables):
         def counted(instance, build=Instance.__dict__[name].func, name=name):
             built[name, id(instance)] += 1
             return build(instance)
@@ -428,7 +437,7 @@ def test_sweep_builds_each_realizations_index_once(monkeypatch):
     distinct = {id(p) for p in predictions} - {id(r) for r in realizations}
     assert built == Counter(
         [("ranked", i) for i in {id(r) for r in realizations} | distinct]
-        + [("by_slot", id(r)) for r in realizations]
+        + [(name, id(r)) for r in realizations for name in tables]
     )
 
 

@@ -28,7 +28,7 @@ from pktsched import (
     validate_schedule,
 )
 from pktsched import core, lap, offline, online, prediction
-from pktsched.core import SlotIndex, edf_first, heavier_first
+from pktsched.core import edf_first, heavier_first
 from pktsched.online import Buffer, drive
 from conftest import (
     TIED_WEIGHTS,
@@ -40,6 +40,9 @@ from conftest import (
 )
 import reference
 from reference import dominates
+
+# The per-slot tables every Buffer reads off its Instance.
+SLOT_TABLES = ("arrivals", "expiring", "released")
 
 
 def _buffer(rows):
@@ -253,10 +256,10 @@ def test_run_loop_never_hashes_a_job(monkeypatch):
 
 
 def test_runs_sharing_an_instance_match_runs_on_fresh_instances():
-    # Every Buffer reads the heavier_first order and the per-slot index kept
-    # on its Instance: runs that share one Instance, in either order, give
-    # what runs on fresh copies give, and leave the shared order and index
-    # as built.
+    # Every Buffer reads the heavier_first order and the per-slot tables
+    # kept on its Instance: runs that share one Instance, in either order,
+    # give what runs on fresh copies give, and leave the shared order and
+    # tables as built.
     def fresh(inst):
         return Instance(inst.jobs, inst.horizon)
 
@@ -279,31 +282,29 @@ def test_runs_sharing_an_instance_match_runs_on_fresh_instances():
                 results.reverse()
             assert results == expected
             assert shared.ranked == tuple(sorted(inst.jobs, key=heavier_first))
-            assert [getattr(shared.by_slot, name) for name in SlotIndex.__slots__] == [
-                getattr(SlotIndex(fresh(inst)), name) for name in SlotIndex.__slots__
+            assert [getattr(shared, name) for name in SLOT_TABLES] == [
+                getattr(fresh(inst), name) for name in SLOT_TABLES
             ]
 
 
 def test_slot_index_holds_each_slots_changes():
-    # Each slot's arrivals, expiring ids and released ranks, and the
-    # edf_first order, against scans of the jobs; ties included.
+    # Each slot's arrivals, expiring ids and released ranks against scans
+    # of the jobs, and the heaps' deadline * n + rank keys against the
+    # edf_first order; ties included.
     rng = random.Random(23)
     instances = [
         generate(GeneratorSpec("powerlaw", horizon=20, a=30, m=100, max_slack=12, seed=23)),
         *(random_instance(rng, max_jobs=12, max_horizon=10, weights=TIED_WEIGHTS) for _ in range(50)),
     ]
     for inst in instances:
-        index, ranked = inst.by_slot, inst.ranked
+        ranked, n = inst.ranked, len(inst.jobs)
         assert ranked == tuple(sorted(inst.jobs, key=heavier_first))
-        assert index.edf == tuple(sorted(inst.jobs, key=edf_first))
-        assert [index.edf[e] for e in index.edf_of] == list(ranked)
+        keys = sorted(ranked[r].deadline * n + r for r in range(n))
+        assert [ranked[key % n] for key in keys] == sorted(inst.jobs, key=edf_first)
         for t in range(inst.horizon + 1):
-            assert index.arrivals[t] == {j.id: j for j in inst.jobs if j.release == t}
-            assert sorted(index.expiring[t]) == [j.id for j in inst.jobs if j.deadline == t]
-            assert [ranked[r] for r in index.released[t]] == [j for j in ranked if j.release == t]
-        # One int object per rank, shared by released and edf_of.
-        released = {r: r for slot in index.released for r in slot}
-        assert all(released[r] is r for r in index.edf_of)
+            assert inst.arrivals[t] == {j.id: j for j in inst.jobs if j.release == t}
+            assert sorted(inst.expiring[t]) == [j.id for j in inst.jobs if j.deadline == t]
+            assert [ranked[r] for r in inst.released[t]] == [j for j in ranked if j.release == t]
 
 
 def test_buffer_skipping_slots_matches_slot_by_slot():
@@ -341,9 +342,10 @@ def test_buffer_skipping_slots_matches_slot_by_slot():
 def test_runs_on_a_solved_instance_sort_no_jobs(monkeypatch):
     # The optimum, the series and every run share the instance's one
     # heavier_first order: once an instance's optimum or series has been
-    # read, its runs build no order again and sort no Job records at all
-    # (the index sorts ints).
-    builds, job_sorts = [], []
+    # read, its runs build no order again and sort no Job records at all;
+    # the online runs, which build the per-slot tables and feed the heaps
+    # their int keys, sort nothing.
+    builds, job_sorts, sorts = [], [], []
     build = Instance.__dict__["ranked"].func
 
     def counted(instance):
@@ -352,6 +354,7 @@ def test_runs_on_a_solved_instance_sort_no_jobs(monkeypatch):
 
     def sorting(iterable, **kwargs):
         items = list(iterable)
+        sorts.append(items)
         if any(isinstance(item, Job) for item in items):
             job_sorts.append(items)
         return sorted(items, **kwargs)
@@ -374,8 +377,11 @@ def test_runs_on_a_solved_instance_sort_no_jobs(monkeypatch):
             inst.prefix_opt
         assert list(map(id, builds)) == [id(pred), id(inst)]
         job_sorts.clear()
+        sorts.clear()
         for policy in policies:
             run_online(policy, inst)
+        assert sorts == []
+        for policy in policies:
             lap_run(pred, inst, rng.choice((1.0, 1.1, 2.0)), policy)
         assert list(map(id, builds)) == [id(pred), id(inst)]
         assert job_sorts == []

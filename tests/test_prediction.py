@@ -111,3 +111,18 @@ def test_perfect_prediction_is_exact():
         inst = random_instance(rng, min_jobs=1)
         assert prediction_error(inst, inst) == 1.0
         assert schedule_weight(blind_follow(inst, inst)) == brute_force_opt(inst)[0]
+
+
+def test_error_of_an_undriven_instance_builds_no_buffer_tables():
+    # The prediction error reads the realization's series and the
+    # prediction's optimum and drives no run, as `pktsched eta` does: of the
+    # per-slot tables only the series' released ranks are built, and only
+    # on the realization.
+    rng = random.Random(37)
+    for k in range(30):
+        real = random_instance(rng, max_jobs=12, max_horizon=10, min_jobs=1)
+        pred = perturb(real, PerturbationSpec("weight-gauss", sigma=0.3, seed=k))
+        prediction_error(real, pred)
+        assert "released" in vars(real) and "released" not in vars(pred)
+        for inst in (real, pred):
+            assert "arrivals" not in vars(inst) and "expiring" not in vars(inst)
