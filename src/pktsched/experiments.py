@@ -30,6 +30,7 @@ from .core import (
     Job,
     ParseError,
     Schedule,
+    check_horizon,
     schedule_weight,
     validate_schedule,
     weight_ratio,
@@ -76,7 +77,8 @@ class GeneratorSpec:
     parameterize the power-law kind, whose per-slot count is
     round(m * (1 - p)) with p drawn from density a * x**(a-1) on [0, 1].
     Weights are uniform on (0, 1]; deadlines are release plus a uniform
-    slack in [1, max_slack], forced nondecreasing.
+    slack in [1, max_slack], forced nondecreasing. ``horizon + max_slack``,
+    the largest deadline it can draw, is at most ``core.MAX_HORIZON``.
     """
 
     kind: str
@@ -101,6 +103,7 @@ class GeneratorSpec:
             raise ValueError(f"m must be finite and >= 0, got {self.m!r}")
         if self.max_slack < 1:
             raise ValueError("max_slack must be >= 1")
+        check_horizon("horizon + max_slack", self.horizon + self.max_slack)
 
 
 def _agreeable_jobs(
@@ -165,7 +168,8 @@ def _typed_field(cls, key: str, text: str) -> tuple[str, object]:
 
 def parse_generator_spec(text: str, seed: Optional[int] = None) -> GeneratorSpec:
     """Parse ``uniform:T=75,lo=2,hi=8,seed=1`` style spec strings; a key
-    given twice, aliases included, raises ValueError naming it."""
+    given twice, aliases included, raises ValueError naming it, and so does
+    a ``seed=`` key when the ``seed`` argument is given too."""
     kind, _, rest = text.partition(":")
     fields: dict = {"kind": kind.strip()}
     for part in filter(None, (p.strip() for p in rest.split(","))):
@@ -175,6 +179,8 @@ def parse_generator_spec(text: str, seed: Optional[int] = None) -> GeneratorSpec
             raise ValueError(f"key {key.strip()!r} sets {name!r} again")
         fields[name] = typed
     if seed is not None:
+        if "seed" in fields:
+            raise ValueError(f"seed given twice: {fields['seed']!r} in the spec and {seed!r}")
         fields["seed"] = seed
     return GeneratorSpec(**fields)
 
@@ -241,6 +247,7 @@ def _check_ingest_arguments(slots_per_day: int, max_slack: int, ts_col: int) -> 
         raise ValueError(f"max_slack must be >= 1, got {max_slack!r}")
     if ts_col < 0:
         raise ValueError(f"ts_col must be >= 0, got {ts_col!r}")
+    check_horizon("slots_per_day + max_slack", slots_per_day + max_slack)
 
 
 def ingest_snap_events(
@@ -258,8 +265,8 @@ def ingest_snap_events(
     one instance each: timestamps are quantized linearly into release
     slots 1..slots_per_day and weights/deadlines are synthesized with the
     per-day-seeded agreeable models. Raises ValueError, before the file
-    is read, unless slots_per_day >= 1, the band's lo <= hi, max_slack >= 1
-    and ts_col >= 0.
+    is read, unless slots_per_day >= 1, the band's lo <= hi, max_slack >= 1,
+    ts_col >= 0 and slots_per_day + max_slack <= ``core.MAX_HORIZON``.
     """
     lo, hi = band
     _check_ingest_arguments(slots_per_day, max_slack, ts_col)

@@ -27,8 +27,11 @@ proven full. The series (``insert``) proves none full, and most of its
 searches fail, which needs no augmenting path: it grows its interval one
 layer at a time, each layer one C-level ``min`` and ``max`` over the
 releases and deadlines of the owners of the slots the last layer added.
-Each is the faster of the two on its own path; on the benchmark shapes
-the layered search made the optimum solve 12-22% slower.
+When it ends on a slot (a free one, or an evicted job's), the path there
+is read back from the layers into the map the walk records, slot to the
+rank that takes it, and one ``_shift_into`` moves the jobs along either.
+Each search is the faster of the two on its own path; on the benchmark
+shapes the layered search made the optimum solve 12-22% slower.
 
 The matching works on ranks, not ``Job`` records: a job is its index in
 ``Instance.ranked``, the instance's jobs sorted once in ``heavier_first``
@@ -61,51 +64,6 @@ class TooLarge(ValueError):
     """Instance exceeds the brute-force enumeration guard."""
 
 
-class _PathBack:
-    """The layers of a failed or successful ``_SlotMatching._grow``, read
-    as a map from a slot to the rank that reached it.
-
-    The rank that reached a slot of layer k > 0 held a slot of layer
-    k - 1: the owner there with the release that layer k extends the
-    interval to on the left, or the deadline it extends it to on the
-    right. Layer 0's slots were reached by the searching rank. A path asks
-    for its slots from the last one back, one layer down per step, before
-    any slot of a lower layer is moved, so each lookup reads its layer's
-    owners as the search saw them.
-    """
-
-    __slots__ = ("matching", "rank", "layers", "k")
-
-    def __init__(
-        self, matching: _SlotMatching, rank: int, layers: list[tuple[int, int]]
-    ) -> None:
-        self.matching = matching
-        self.rank = rank
-        self.layers = layers
-        self.k = len(layers) - 1
-
-    def __getitem__(self, s: int) -> int:
-        layers = self.layers
-        k = self.k
-        # Slot s was added by the first layer whose interval holds it.
-        while k and layers[k - 1][0] <= s < layers[k - 1][1]:
-            k -= 1
-        self.k = k
-        if not k:
-            return self.rank
-        m = self.matching
-        lo, hi = layers[k - 1]
-        # Layer k - 1 added [lo, a) and [b, hi).
-        a, b = layers[k - 2] if k > 1 else (hi, hi)
-        if s < lo:
-            at, end = m.rel_at, layers[k][0]
-        else:
-            at, end = m.dl_at, layers[k][1]
-        part = at[lo:a]
-        slot = lo + part.index(end) if end in part else at.index(end, b, hi)
-        return m.owner[slot]
-
-
 class _SlotMatching:
     """Jobs matched onto unit slots by iterative augmenting-path search.
 
@@ -131,9 +89,10 @@ class _SlotMatching:
     - ``insert`` grows the interval one layer at a time (``_grow``), with
       C-level scans of ``rel_at`` and ``dl_at``, the release and deadline
       of each slot's owner; every owner change updates them. A failed
-      search needs only its interval and the largest rank in it, and the
-      path of a successful one is read back from the layers
-      (``_PathBack``). It remembers only the latest closed interval, in
+      search needs only its interval and the largest rank in it. The path
+      of a search that ends on a slot (a free one, or an evicted job's) is
+      read back from the layers into the walk's slot-to-rank map
+      (``_path_back``). It remembers only the latest closed interval, in
       ``_closed`` (see there).
     """
 
@@ -210,8 +169,9 @@ class _SlotMatching:
         on each side: ``min`` of ``rel_at`` over a range finds a free slot
         (the -1) or the release that extends the interval to the left, and
         ``max`` of ``dl_at`` the deadline that extends it to the right.
-        Which owner reached which range is worked out only along an
-        augmenting path (``_PathBack``); a failed search never needs it.
+        Which owner reached which range is worked out only along the path
+        to the slot that ends a search (``_path_back``); a failed search
+        that evicts nothing never needs it.
         """
         rel_at = self.rel_at
         dl_at = self.dl_at
@@ -245,9 +205,43 @@ class _SlotMatching:
                 return None, layers
             a, b, lo, hi = lo, hi, left, right
 
-    def _shift_into(
-        self, s: Optional[int], reached: dict[int, int] | _PathBack
-    ) -> None:
+    def _path_back(
+        self, rank: int, layers: list[tuple[int, int]], target: int
+    ) -> dict[int, int]:
+        """The path from ``rank`` to slot ``target`` through ``_grow``'s
+        layers, as ``_walk``'s map: each slot on it to the rank that
+        reached it. Read before any slot moves.
+
+        The rank that reached a slot of layer k > 0 held a slot of layer
+        k - 1: the owner there with the release that layer k extends the
+        interval to on the left, or the deadline it extends it to on the
+        right. Layer 0's slots were reached by the searching rank.
+        """
+        rel_at = self.rel_at
+        dl_at = self.dl_at
+        path: dict[int, int] = {}
+        s = target
+        k = len(layers) - 1
+        while True:
+            # Slot s was added by the first layer whose interval holds it.
+            while k and layers[k - 1][0] <= s < layers[k - 1][1]:
+                k -= 1
+            if not k:
+                path[s] = rank
+                return path
+            lo, hi = layers[k - 1]
+            # Layer k - 1 added [lo, a) and [b, hi).
+            a, b = layers[k - 2] if k > 1 else (hi, hi)
+            if s < lo:
+                at, end = rel_at, layers[k][0]
+            else:
+                at, end = dl_at, layers[k][1]
+            part = at[lo:a]
+            slot = lo + part.index(end) if end in part else at.index(end, b, hi)
+            path[s] = self.owner[slot]
+            s = slot
+
+    def _shift_into(self, s: Optional[int], reached: dict[int, int]) -> None:
         """Move each job on a recorded path one step along: reached[s]
         takes slot s, the rank that reached its old slot takes that, and
         so on back to the searching job, which held no slot."""
@@ -288,7 +282,7 @@ class _SlotMatching:
         circuit, whatever slots they hold). Evicting the largest rank among
         them, when the newcomer's rank is smaller, keeps the set
         ``add_if_fits`` would pick from the same jobs, ties included. The
-        jobs on the path that ``_PathBack`` reads back from the search's
+        jobs on the path that ``_path_back`` reads back from the search's
         layers to the evicted job's slot shift into it, so no second search
         is needed. The circuit is unique, so the ranks added and evicted,
         and the closed interval (the union of the circuit's windows), do
@@ -321,7 +315,7 @@ class _SlotMatching:
             return False, None
         free, layers = self._grow(rank)
         if free is not None:
-            self._shift_into(free, _PathBack(self, rank, layers))
+            self._shift_into(free, self._path_back(rank, layers, free))
             return True, None
         lo, hi = layers[-1]
         last = max(self.owner[lo:hi])
@@ -330,7 +324,7 @@ class _SlotMatching:
             return False, None
         freed = self.slot_of[last]
         self.slot_of[last] = None
-        self._shift_into(freed, _PathBack(self, rank, layers))
+        self._shift_into(freed, self._path_back(rank, layers, freed))
         # The same owners, with the newcomer in the evicted job's stead.
         self._closed = (lo, hi, max(self.owner[lo:hi]))
         return True, last

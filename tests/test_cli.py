@@ -194,12 +194,20 @@ def _malformed(tmp_path):
     return path
 
 
+def _far(tmp_path):
+    # One job, but a horizon past the bound: rejected before any per-slot table.
+    path = tmp_path / "far.csv"
+    path.write_text("# horizon=1000000000\nid,release,deadline,weight\na,0,1,1.0\n", encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize(
     "make, message",
     [(_malformed, "line 2: expected 4 fields, got 3"),
      (lambda tmp_path: tmp_path / "missing.csv", "cannot read .*No such file or directory"),
-     (_overflowing, "line 3: weights sum past the float maximum")],
-    ids=["malformed", "missing", "overflow"],
+     (_overflowing, "line 3: weights sum past the float maximum"),
+     (_far, "horizon = 1000000000 exceeds MAX_HORIZON = 1000000")],
+    ids=["malformed", "missing", "overflow", "far"],
 )
 @pytest.mark.parametrize(
     "command",
@@ -242,6 +250,10 @@ def _config(tmp_path, text, name="bad.cfg"):
      (["gen", "--spec", "uniform:T=abc", "--out", "{tmp}/x.csv"], "key 'T': invalid literal for int() with base 10: 'abc'"),
      (["gen", "--spec", "uniform:T=5,horizon=6", "--out", "{tmp}/x.csv"],
       "key 'horizon' sets 'horizon' again"),
+     (["gen", "--spec", "uniform:T=5,seed=3", "--seed", "1", "--out", "{tmp}/x.csv"],
+      "seed given twice: 3 in the spec and 1"),
+     (["gen", "--spec", "uniform:T=1000000", "--out", "{tmp}/x.csv"],
+      "horizon + max_slack = 1000010 exceeds MAX_HORIZON = 1000000"),
      (["gen", "--spec", "powerlaw:m=inf", "--out", "{tmp}/x.csv"], "m must be finite and >= 0, got inf"),
      (["gen", "--spec", "powerlaw:a=nan", "--out", "{tmp}/x.csv"], "a must be finite and > 0, got nan"),
      (["gen", "--spec", "powerlaw:m=nan", "--out", "{tmp}/x.csv"], "m must be finite and >= 0, got nan"),
@@ -253,11 +265,15 @@ def _config(tmp_path, text, name="bad.cfg"):
      (["ingest", "--in", "{tmp}/missing.txt", "--out-dir", "{tmp}/days", "--slots-per-day", "0"],
       "slots_per_day must be >= 1, got 0"),
      (["ingest", "--in", "{tmp}/missing.txt", "--out-dir", "{tmp}/days", "--ts-col", "-3"],
-      "ts_col must be >= 0, got -3")],
+      "ts_col must be >= 0, got -3"),
+     (["ingest", "--in", "{tmp}/missing.txt", "--out-dir", "{tmp}/days",
+       "--slots-per-day", "999991"],
+      "slots_per_day + max_slack = 1000001 exceeds MAX_HORIZON = 1000000")],
     ids=["run-trace", "run-lap-no-pred", "run-blind-no-pred", "run-trace-not-lap", "gen-out",
-         "gen-kind", "gen-value", "gen-key-twice", "gen-m-inf", "gen-a-nan", "gen-m-nan",
-         "experiment-missing", "experiment-key",
-         "experiment-no-values", "ingest-missing", "ingest-slots", "ingest-ts-col"],
+         "gen-kind", "gen-value", "gen-key-twice", "gen-seed-twice", "gen-horizon", "gen-m-inf",
+         "gen-a-nan", "gen-m-nan", "experiment-missing", "experiment-key",
+         "experiment-no-values", "ingest-missing", "ingest-slots", "ingest-ts-col",
+         "ingest-horizon"],
 )
 def test_unusable_path_or_option_exits_with_one_line(tmp_path, j2, command, message, capsys):
     good = tmp_path / "good.csv"

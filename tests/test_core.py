@@ -23,6 +23,7 @@ from pktsched import (
     validate_schedule,
     write_instance_csv,
 )
+from pktsched.core import MAX_HORIZON
 from pktsched.lap import LapSlot
 from conftest import mk, random_instance
 from reference import dominates, prefix_weight
@@ -234,6 +235,14 @@ def test_instance_invariants():
     with pytest.raises(ValueError, match="duplicate job ids"):
         Instance((a, a), 2)
     assert Instance.of([b, a]).jobs == (a, b)
+    # The horizon is bounded. Building an instance allocates no per-slot
+    # table, so one at the bound is cheap, and past it nothing is built.
+    assert Instance((), MAX_HORIZON).horizon == MAX_HORIZON
+    too_far = rf"^horizon = {MAX_HORIZON + 1} exceeds MAX_HORIZON = {MAX_HORIZON}$"
+    with pytest.raises(ValueError, match=too_far):
+        Instance((), MAX_HORIZON + 1)
+    with pytest.raises(ValueError, match=too_far):
+        Instance.of([Job("a", 0, MAX_HORIZON + 1, 1.0)])
     # Distinct weights pass through untouched.
     inst = mk([("a", 0, 2, 0.25), ("b", 0, 2, 0.5)])
     assert [j.weight for j in inst.jobs] == [0.25, 0.5]

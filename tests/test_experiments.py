@@ -33,7 +33,7 @@ from pktsched import (
     schedule_weight,
 )
 from pktsched import experiments, offline
-from pktsched.core import write_instance_csv
+from pktsched.core import MAX_HORIZON, write_instance_csv
 from pktsched.experiments import (
     ResultRecord,
     derive_seed,
@@ -116,6 +116,28 @@ def test_parse_generator_spec():
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_generator_spec(text)
+    # So is a seed in the spec next to the seed argument.
+    with pytest.raises(ValueError, match="^seed given twice: 3 in the spec and 1$"):
+        parse_generator_spec("uniform:seed=3", seed=1)
+    assert parse_generator_spec("uniform:seed=3").seed == 3
+
+
+def test_horizon_past_the_bound_fails_before_anything_is_built(tmp_path, j2):
+    # Each check runs on the arguments alone: nothing per slot is allocated.
+    assert GeneratorSpec("uniform", horizon=MAX_HORIZON - 10, max_slack=10)
+    message = rf"^horizon \+ max_slack = {MAX_HORIZON + 1} exceeds MAX_HORIZON = {MAX_HORIZON}$"
+    with pytest.raises(ValueError, match=message):
+        GeneratorSpec("uniform", horizon=MAX_HORIZON - 9, max_slack=10)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig("powerlaw", "sigma", (0.0,), horizon=MAX_HORIZON - 9)
+    message = rf"^slots_per_day \+ max_slack = {MAX_HORIZON + 1} exceeds MAX_HORIZON = {MAX_HORIZON}$"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig("events.txt", "sigma", (0.0,), slots_per_day=MAX_HORIZON - 9)
+    with pytest.raises(ValueError, match=message):
+        ingest_snap_events(tmp_path / "missing.txt", slots_per_day=MAX_HORIZON - 9)
+    # A deadline shift past the bound fails in the shifted Instance.
+    with pytest.raises(ValueError, match=f"exceeds MAX_HORIZON = {MAX_HORIZON}$"):
+        perturb(j2, PerturbationSpec("deadline-shift", k=2 * MAX_HORIZON, seed=1))
 
 
 def test_perturb_identity_cases(j2):

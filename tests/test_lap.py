@@ -8,11 +8,13 @@ from pktsched import (
     GREEDY,
     MG,
     PHI,
+    GeneratorSpec,
     Instance,
     InvalidThreshold,
     OnlineStepPolicy,
     blind_follow,
     brute_force_opt,
+    generate,
     lap_run,
     local_test,
     opt_schedule,
@@ -22,6 +24,7 @@ from pktsched import (
     schedule_weight,
     validate_schedule,
 )
+from pktsched.core import weight_ratio
 from pktsched.lap import ONLINE, PREDICTION, write_trace_csv
 from conftest import (
     TIED_WEIGHTS,
@@ -225,6 +228,34 @@ def test_lap_combined_bound():
         ratio = math.inf if got == 0.0 else opt / got
         cap = eta if eta <= rho else rho + 2.0 + 1.0
         assert ratio <= cap + 1e-9
+
+
+def test_lap_bounds_on_large_generated_instances():
+    # Past brute force, the optimum is the series' last value: the matching
+    # is checked against brute force, per-prefix re-solves and the
+    # metamorphic relations. Generated instances are agreeable, so MG's
+    # ratio is at most phi. An exact prediction is a fresh copy of the
+    # realization, so its optimum is solved apart from the series.
+    rng = random.Random(79)
+    specs = [GeneratorSpec("uniform", horizon=rng.randint(50, 400), seed=rng.randrange(2**32))
+             for _ in range(12)]
+    specs += [GeneratorSpec("powerlaw", horizon=rng.randint(20, 150), seed=rng.randrange(2**32))
+              for _ in range(12)]
+    for spec in specs:
+        real = generate(spec)
+        opt = real.prefix_opt[-1]
+        predictions = {"exact": Instance.of(real.jobs, real.horizon)}
+        for kind in ("empty", "reversed", "shifted"):
+            predictions[kind] = adversarial_prediction(real, kind, rng.randrange(2**32))
+        for kind, pred in predictions.items():
+            for policy, c in ((GREEDY, 2.0), (MG, PHI)):
+                for rho in (1.0, 1.1, 2.0):
+                    sched, _ = lap_run(pred, real, rho, policy)
+                    ratio = weight_ratio(opt, schedule_weight(sched))
+                    if kind == "exact":
+                        assert ratio == 1.0, (spec, policy.name, rho)
+                    else:
+                        assert ratio <= rho + c + 1.0, (spec, kind, policy.name, rho, ratio)
 
 
 def test_trace_csv(tmp_path, j1, j2):
