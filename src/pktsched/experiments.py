@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Optional, get_args, get_origin, get_type_hints
 
 from .core import (
+    MAX_GENERATED_JOBS,
     Instance,
     Job,
     ParseError,
@@ -78,7 +79,9 @@ class GeneratorSpec:
     round(m * (1 - p)) with p drawn from density a * x**(a-1) on [0, 1].
     Weights are uniform on (0, 1]; deadlines are release plus a uniform
     slack in [1, max_slack], forced nondecreasing. ``horizon + max_slack``,
-    the largest deadline it can draw, is at most ``core.MAX_HORIZON``.
+    the largest deadline it can draw, is at most ``core.MAX_HORIZON``, and
+    the most jobs it can draw (``horizon * hi``, or ``horizon * m`` for the
+    power law) at most ``core.MAX_GENERATED_JOBS``.
     """
 
     kind: str
@@ -104,6 +107,14 @@ class GeneratorSpec:
         if self.max_slack < 1:
             raise ValueError("max_slack must be >= 1")
         check_horizon("horizon + max_slack", self.horizon + self.max_slack)
+        # The largest per-slot count the kind can draw.
+        count = "hi" if self.kind == "uniform" else "m"
+        jobs = self.horizon * getattr(self, count)
+        if jobs > MAX_GENERATED_JOBS:
+            raise ValueError(
+                f"horizon * {count} = {jobs} exceeds "
+                f"MAX_GENERATED_JOBS = {MAX_GENERATED_JOBS}"
+            )
 
 
 def _agreeable_jobs(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -64,16 +65,41 @@ _set_t, _set_source, _set_job_id, _set_weight, _set_local_ratio = _slot_setters(
 
 @dataclass(frozen=True)
 class LapTrace:
+    """A run's slots 0..horizon as four columns, one entry per slot: who
+    chose (``sources``), what ran (``job_ids``, None for an empty slot),
+    its weight (``weights``, 0.0 for an empty slot) and the local ratio
+    (``local_ratios``, None where the test was not evaluated).
+
+    ``rows`` holds the same slots as :class:`LapSlot` records. They are
+    built on its first read, so a run whose trace nobody reads builds none.
+    """
+
     rho: float
-    rows: tuple[LapSlot, ...]
+    sources: tuple[str, ...]
+    job_ids: tuple[Optional[str], ...]
+    weights: tuple[float, ...]
+    local_ratios: tuple[Optional[float], ...]
+
+    @cached_property
+    def rows(self) -> tuple[LapSlot, ...]:
+        return tuple(
+            map(
+                LapSlot,
+                range(len(self.sources)),
+                self.sources,
+                self.job_ids,
+                self.weights,
+                self.local_ratios,
+            )
+        )
 
     @property
     def t_lambda(self) -> int:
         """One past the last slot whose local test passed (0 if none did)."""
         passed = [
-            r.t
-            for r in self.rows
-            if r.local_ratio is not None and r.local_ratio <= self.rho
+            t
+            for t, ratio in enumerate(self.local_ratios)
+            if ratio is not None and ratio <= self.rho
         ]
         return passed[-1] + 1 if passed else 0
 
@@ -126,8 +152,12 @@ def lap_run(
     check_threshold(rho)
     choices = build_choices(prediction)
     series = realization.prefix_opt
+    step = policy.step
     processed_weights: list[float] = []
-    rows: list[LapSlot] = []
+    sources: list[str] = []
+    job_ids: list[Optional[str]] = []
+    weights: list[float] = []
+    local_ratios: list[Optional[float]] = []
 
     def pick(t: int, buffer: Buffer) -> Optional[str]:
         cid = choices[t] if t < len(choices) else None
@@ -141,31 +171,38 @@ def lap_run(
             )
             if passed:
                 source = PREDICTION
-        job_id = cid if source == PREDICTION else policy.step(buffer)
+        job_id = cid if source == PREDICTION else step(buffer)
         weight = 0.0
         if job_id is not None:
             # KeyError, as drive raises, if the fallback names no pending job.
             weight = buffer.jobs[job_id].weight
             processed_weights.append(weight)
-        rows.append(LapSlot(t, source, job_id, weight, ratio))
+        sources.append(source)
+        job_ids.append(job_id)
+        weights.append(weight)
+        local_ratios.append(ratio)
         return job_id
 
     schedule = drive(realization, pick)
-    return schedule, LapTrace(rho, tuple(rows))
+    trace = LapTrace(
+        rho, tuple(sources), tuple(job_ids), tuple(weights), tuple(local_ratios)
+    )
+    return schedule, trace
 
 
 def write_trace_csv(trace: LapTrace, path: Path | str) -> None:
-    """Write trace rows as ``t,source,job_id,weight,local_ratio``."""
+    """Write the trace's slots as ``t,source,job_id,weight,local_ratio``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "source", "job_id", "weight", "local_ratio"])
-        for r in trace.rows:
+        columns = zip(trace.sources, trace.job_ids, trace.weights, trace.local_ratios)
+        for t, (source, job_id, weight, ratio) in enumerate(columns):
             writer.writerow(
                 [
-                    r.t,
-                    r.source,
-                    r.job_id or "",
-                    repr(r.weight),
-                    "" if r.local_ratio is None else repr(r.local_ratio),
+                    t,
+                    source,
+                    job_id or "",
+                    repr(weight),
+                    "" if ratio is None else repr(ratio),
                 ]
             )

@@ -97,7 +97,6 @@ class _SlotMatching:
     """
 
     def __init__(self, ranked: Sequence[Job]) -> None:
-        self.ranked = ranked
         self.release = [j.release for j in ranked]
         self.deadline = [j.deadline for j in ranked]
         horizon = max(self.deadline, default=0)
@@ -262,7 +261,8 @@ class _SlotMatching:
 
     def add_if_fits(self, rank: int) -> bool:
         # Every slot of the window proven full: a search would reach none.
-        if self._next_open(self.release[rank]) >= self.deadline[rank]:
+        release = self.release[rank]
+        if release in self._full and self._next_open(release) >= self.deadline[rank]:
             return False
         free, reached = self._walk(rank)
         if free is None:
@@ -329,16 +329,14 @@ class _SlotMatching:
         self._closed = (lo, hi, max(self.owner[lo:hi]))
         return True, last
 
-    def selected_ids(self) -> set[str]:
-        ranked = self.ranked
-        return {ranked[r].id for r, s in enumerate(self.slot_of) if s is not None}
 
-
-def _optimal_ids(instance: Instance) -> set[str]:
+def _optimal_ranks(instance: Instance) -> list[int]:
+    """The ranks of a maximum-weight schedulable set of the instance's jobs:
+    the matroid greedy, each rank in turn through ``add_if_fits``."""
     matching = _SlotMatching(instance.ranked)
-    for rank in range(len(instance.jobs)):
+    for rank in range(len(instance.ranked)):
         matching.add_if_fits(rank)
-    return matching.selected_ids()
+    return [rank for rank, slot in enumerate(matching.slot_of) if slot is not None]
 
 
 def opt_schedule(instance: Instance) -> Schedule:

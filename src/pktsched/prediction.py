@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .core import Instance, Job, Schedule, feasible_at, folded
+from .core import Instance, Job, Schedule, folded
 from .offline import opt_schedule
 
 
@@ -40,13 +40,15 @@ def apply_choices(
     The schedule spans the realization's horizon: choices past it are
     dropped, since no realized job is feasible there.
     """
+    by_id = realization.by_id
     placed: set[str] = set()
     slots: list[Optional[Job]] = []
     for t in range(realization.horizon + 1):
         cid = choices[t] if t < len(choices) else None
-        job = realization.by_id.get(cid) if cid is not None else None
-        if job is not None and job.id not in placed and feasible_at(job, t):
-            placed.add(job.id)
+        job = by_id.get(cid) if cid is not None else None
+        # Feasible at t: released by t, deadline after t.
+        if job is not None and job.release <= t < job.deadline and cid not in placed:
+            placed.add(cid)
             slots.append(job)
         else:
             slots.append(None)

@@ -134,6 +134,11 @@ def mg_step(jobs: set[Job]) -> Optional[str]:
     return (earliest if earliest.weight >= heaviest.weight / PHI else heaviest).id
 
 
+def selected_ids(ranked: list[Job], matching: _SlotMatching) -> set[str]:
+    """Ids of the jobs a matching built on ``ranked`` holds."""
+    return {ranked[r].id for r, s in enumerate(matching.slot_of) if s is not None}
+
+
 class WalkingMatching(_SlotMatching):
     """A ``_SlotMatching`` whose ``insert`` searches with the per-slot
     ``_walk``, as the series did before its layered search: the oracle for

@@ -87,17 +87,17 @@ def test_run_solves_one_optimum(tmp_path, monkeypatch, capsys, algo, with_pred):
     write_instance_csv(real_inst, real)
     write_instance_csv(pred_inst, pred)
     solved, series = [], []
-    original_ids, original_series = offline._optimal_ids, offline.prefix_opt_series
+    original_ranks, original_series = offline._optimal_ranks, offline.prefix_opt_series
 
-    def counted_ids(instance):
+    def counted_ranks(instance):
         solved.append(instance)
-        return original_ids(instance)
+        return original_ranks(instance)
 
     def counted_series(instance):
         series.append(instance)
         return original_series(instance)
 
-    monkeypatch.setattr(offline, "_optimal_ids", counted_ids)
+    monkeypatch.setattr(offline, "_optimal_ranks", counted_ranks)
     monkeypatch.setattr(offline, "prefix_opt_series", counted_series)
     argv = ["run", "--algo", algo, "--real", str(real)]
     assert main(argv + (["--pred", str(pred)] if with_pred else [])) == 0
@@ -254,6 +254,8 @@ def _config(tmp_path, text, name="bad.cfg"):
       "seed given twice: 3 in the spec and 1"),
      (["gen", "--spec", "uniform:T=1000000", "--out", "{tmp}/x.csv"],
       "horizon + max_slack = 1000010 exceeds MAX_HORIZON = 1000000"),
+     (["gen", "--spec", "uniform:lo=1000000000000,hi=1000000000000", "--out", "{tmp}/x.csv"],
+      "horizon * hi = 75000000000000 exceeds MAX_GENERATED_JOBS = 10000000"),
      (["gen", "--spec", "powerlaw:m=inf", "--out", "{tmp}/x.csv"], "m must be finite and >= 0, got inf"),
      (["gen", "--spec", "powerlaw:a=nan", "--out", "{tmp}/x.csv"], "a must be finite and > 0, got nan"),
      (["gen", "--spec", "powerlaw:m=nan", "--out", "{tmp}/x.csv"], "m must be finite and >= 0, got nan"),
@@ -270,7 +272,7 @@ def _config(tmp_path, text, name="bad.cfg"):
        "--slots-per-day", "999991"],
       "slots_per_day + max_slack = 1000001 exceeds MAX_HORIZON = 1000000")],
     ids=["run-trace", "run-lap-no-pred", "run-blind-no-pred", "run-trace-not-lap", "gen-out",
-         "gen-kind", "gen-value", "gen-key-twice", "gen-seed-twice", "gen-horizon", "gen-m-inf",
+         "gen-kind", "gen-value", "gen-key-twice", "gen-seed-twice", "gen-horizon", "gen-jobs", "gen-m-inf",
          "gen-a-nan", "gen-m-nan", "experiment-missing", "experiment-key",
          "experiment-no-values", "ingest-missing", "ingest-slots", "ingest-ts-col",
          "ingest-horizon"],

@@ -182,6 +182,24 @@ def test_canonicalize_infeasible():
         canonicalize(inst, {"nope"})
 
 
+def test_canonicalize_error_messages():
+    # The first job in edf_first order still in the heap when its deadline
+    # comes is named, with the slot; unknown ids are named first, sorted.
+    inst = mk([("p", 0, 1, 1.0), ("q", 0, 1, 2.0), ("r", 0, 1, 2.0), ("s", 1, 3, 0.5)])
+    cases = [
+        ({"p", "q"}, "job 'p' expires unscheduled at slot 1"),
+        ({"q", "r"}, "job 'r' expires unscheduled at slot 1"),
+        ({"p", "q", "r", "s"}, "job 'r' expires unscheduled at slot 1"),
+    ]
+    for selected, message in cases:
+        with pytest.raises(InfeasibleSelection) as raised:
+            canonicalize(inst, selected)
+        assert str(raised.value) == message
+    with pytest.raises(KeyError) as raised:
+        canonicalize(inst, {"zz", "p", "q", "nope"})
+    assert raised.value.args == ("selected ids not in instance: ['nope', 'zz']",)
+
+
 def test_canonicalize_agrees_with_brute_force_feasibility():
     # For every subset of a small instance: schedulable (per the exhaustive
     # oracle) iff canonicalize succeeds, with exact weight and validity.
@@ -221,6 +239,19 @@ def test_validate_schedule(j2):
     stranger = Job("zz", 0, 2, 0.5)
     ok, violations = validate_schedule(j2, Schedule((stranger, None, None)))
     assert not ok and any("not in instance" in v for v in violations)
+
+
+def test_validate_schedule_compares_records_that_are_not_the_instances(j2):
+    # A scheduled record that is not the instance's own object is compared
+    # field by field: a changed weight is caught, an equal copy is not.
+    a, b = j2.by_id["a"], j2.by_id["b"]
+    heavier = Job(b.id, b.release, b.deadline, b.weight + 1.0)
+    ok, violations = validate_schedule(j2, Schedule((a, heavier, None)))
+    assert not ok
+    assert violations == ["slot 1: job 'b' differs from instance record"]
+    copy = Job(b.id, b.release, b.deadline, b.weight)
+    assert copy is not b
+    assert validate_schedule(j2, Schedule((a, copy, None))) == (True, [])
 
 
 def test_instance_invariants():

@@ -33,7 +33,7 @@ from pktsched import (
     schedule_weight,
 )
 from pktsched import experiments, offline
-from pktsched.core import MAX_HORIZON, write_instance_csv
+from pktsched.core import MAX_GENERATED_JOBS, MAX_HORIZON, write_instance_csv
 from pktsched.experiments import (
     ResultRecord,
     derive_seed,
@@ -42,6 +42,7 @@ from pktsched.experiments import (
     run_experiment_to_dir,
     series_rows,
 )
+from pktsched.lap import LapSlot
 
 
 def _is_agreeable(instance):
@@ -138,6 +139,26 @@ def test_horizon_past_the_bound_fails_before_anything_is_built(tmp_path, j2):
     # A deadline shift past the bound fails in the shifted Instance.
     with pytest.raises(ValueError, match=f"exceeds MAX_HORIZON = {MAX_HORIZON}$"):
         perturb(j2, PerturbationSpec("deadline-shift", k=2 * MAX_HORIZON, seed=1))
+
+
+def test_job_count_past_the_bound_fails_before_anything_is_drawn():
+    # The worst case is every slot at its largest count: horizon * hi, or
+    # horizon * m for the power law. Only specs are built, nothing drawn.
+    assert GeneratorSpec("uniform", horizon=1000, lo=0, hi=10_000)
+    assert GeneratorSpec("powerlaw", horizon=1000, m=10_000.0)
+    bound = f"exceeds MAX_GENERATED_JOBS = {MAX_GENERATED_JOBS}$"
+    with pytest.raises(ValueError, match=rf"^horizon \* hi = 10001000 {bound}"):
+        GeneratorSpec("uniform", horizon=1000, lo=0, hi=10_001)
+    with pytest.raises(ValueError, match=rf"^horizon \* m = 10000500.0 {bound}"):
+        GeneratorSpec("powerlaw", horizon=1000, m=10_000.5)
+    with pytest.raises(ValueError, match=rf"^horizon \* hi = 75000000000000 {bound}"):
+        GeneratorSpec("uniform", lo=10**12, hi=10**12)
+    with pytest.raises(ValueError, match=rf"^horizon \* m = 75000000000000.0 {bound}"):
+        parse_generator_spec("powerlaw:m=1e12,a=1")
+    with pytest.raises(ValueError, match=rf"^horizon \* hi = 75000000000000 {bound}"):
+        ExperimentConfig("uniform", "sigma", (0.0,), hi=10**12)
+    with pytest.raises(ValueError, match=rf"^horizon \* m = 75000000000000.0 {bound}"):
+        ExperimentConfig("powerlaw", "sigma", (0.0,), m=1e12)
 
 
 def test_perturb_identity_cases(j2):
@@ -468,17 +489,17 @@ def test_sweep_solves_each_prediction_once(monkeypatch):
     # optimum: one solve per prediction, at sigma = 0 too, where the
     # prediction is the realization itself.
     solved, predictions = [], []
-    original_ids, original_perturb = offline._optimal_ids, experiments.perturb
+    original_ranks, original_perturb = offline._optimal_ranks, experiments.perturb
 
-    def counted_ids(instance):
+    def counted_ranks(instance):
         solved.append(instance)
-        return original_ids(instance)
+        return original_ranks(instance)
 
     def kept_perturb(instance, spec):
         predictions.append(original_perturb(instance, spec))
         return predictions[-1]
 
-    monkeypatch.setattr(offline, "_optimal_ids", counted_ids)
+    monkeypatch.setattr(offline, "_optimal_ranks", counted_ranks)
     monkeypatch.setattr(experiments, "perturb", kept_perturb)
     config = _tiny_config(
         trials=70, values=(0.0, 0.2, 0.5), algorithms=("lap", "blind", "greedy")
@@ -486,6 +507,25 @@ def test_sweep_solves_each_prediction_once(monkeypatch):
     assert len(run_experiment(config)) == 70 * 3 * 3
     assert len(predictions) == 70 * 3
     assert [id(inst) for inst in solved] == [id(inst) for inst in predictions]
+
+
+def test_sweep_builds_no_trace_records(monkeypatch):
+    # A sweep reads LAP's schedule, never its trace: no LapSlot is built.
+    built = []
+    original = LapSlot.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        original(self, *args)
+
+    monkeypatch.setattr(LapSlot, "__init__", counted)
+    config = _tiny_config(trials=3, values=(0.0, 0.3), algorithms=("lap", "greedy"))
+    assert len(run_experiment(config)) == 3 * 2 * 2
+    assert built == []
+    # The counter sees the records that reading a trace's rows builds.
+    realization = generate(config.generator_spec(1))
+    _, trace = lap_run(realization, realization, 1.1, GREEDY)
+    assert len(trace.rows) == len(built) == realization.horizon + 1
 
 
 def test_series_rows_standard_error_by_hand():

@@ -25,7 +25,7 @@ from pktsched import (
     validate_schedule,
 )
 from pktsched.core import weight_ratio
-from pktsched.lap import ONLINE, PREDICTION, write_trace_csv
+from pktsched.lap import ONLINE, PREDICTION, LapSlot, write_trace_csv
 from conftest import (
     TIED_WEIGHTS,
     adversarial_prediction,
@@ -34,7 +34,7 @@ from conftest import (
     random_agreeable,
     random_instance,
 )
-from reference import processed_ids
+from reference import local_ratios_by_full_sums, processed_ids
 
 
 def test_local_test_conventions():
@@ -256,6 +256,39 @@ def test_lap_bounds_on_large_generated_instances():
                         assert ratio == 1.0, (spec, policy.name, rho)
                     else:
                         assert ratio <= rho + c + 1.0, (spec, kind, policy.name, rho, ratio)
+
+
+def test_trace_rows_are_the_records_of_the_run():
+    # A run keeps its trace as columns and builds the LapSlot records on the
+    # first read of rows. They must be the records of what the run did, as
+    # the schedule and a recomputed local test say: the job and weight of
+    # each slot, the ratio, and PREDICTION exactly where the test passed.
+    rng = random.Random(61)
+    rho = 1.1
+    for inst in edge_shape_instances(rng):
+        predictions = [inst] + [
+            adversarial_prediction(inst, kind, rng.randrange(2**32))
+            for kind in ("empty", "reversed", "shifted")
+        ]
+        for pred in predictions:
+            for fallback in (GREEDY, MG):
+                sched, trace = lap_run(pred, inst, rho, fallback)
+                assert "rows" not in vars(trace)
+                ratios = local_ratios_by_full_sums(pred, inst, trace)
+                expected = tuple(
+                    LapSlot(
+                        t,
+                        PREDICTION if ratio is not None and ratio <= rho else ONLINE,
+                        job.id if job is not None else None,
+                        job.weight if job is not None else 0.0,
+                        ratio,
+                    )
+                    for t, (job, ratio) in enumerate(zip(sched.slots, ratios))
+                )
+                assert trace.rows == expected
+                assert trace.rows is trace.rows
+                passed = [r.t for r in expected if r.source == PREDICTION]
+                assert trace.t_lambda == (passed[-1] + 1 if passed else 0)
 
 
 def test_trace_csv(tmp_path, j1, j2):

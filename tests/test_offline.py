@@ -24,6 +24,7 @@ from reference import (
     prefix_weight,
     release_prefix,
     resolved_prefix_opt,
+    selected_ids,
 )
 
 
@@ -193,7 +194,7 @@ def test_insert_rejects_inside_last_closed_interval_without_search(monkeypatch):
     matching = _SlotMatching(ranked)
     for rank in sorted(range(len(ranked)), key=lambda r: (ranked[r].release, r)):
         matching.insert(rank)
-    assert matching.selected_ids() == best
+    assert selected_ids(ranked, matching) == best
     # 297 inserts, 108 searches: the rest are rejected by the shortcut.
     assert 0 < len(searched) < len(inst.jobs) / 2
 
@@ -205,10 +206,11 @@ def test_insert_in_any_order_selects_the_optimum():
     for inst in _series_fuzz_instances(rng):
         ranks = list(range(len(inst.jobs)))
         rng.shuffle(ranks)
-        matching = _SlotMatching(sorted(inst.jobs, key=heavier_first))
+        ranked = sorted(inst.jobs, key=heavier_first)
+        matching = _SlotMatching(ranked)
         for rank in ranks:
             matching.insert(rank)
-        assert matching.selected_ids() == opt_schedule(inst).job_ids()
+        assert selected_ids(ranked, matching) == opt_schedule(inst).job_ids()
 
 
 def _occupied(matching):
@@ -259,7 +261,7 @@ def test_insert_keeps_its_slot_arrays_and_matches_the_per_slot_walk():
             now = _occupied(matching)
             assert now >= occupied
             occupied = now
-        assert matching.selected_ids() == oracle.selected_ids()
+        assert selected_ids(ranked, matching) == selected_ids(ranked, oracle)
         inserts += len(order)
     assert inserts > 20000
 
@@ -387,4 +389,4 @@ def test_matching_matches_greedy_edf_oracle_past_brute_force():
             matching = _SlotMatching(ranked)
             for rank in order:
                 matching.insert(rank)
-            assert matching.selected_ids() == expected
+            assert selected_ids(ranked, matching) == expected

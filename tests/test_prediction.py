@@ -2,11 +2,13 @@ import math
 import random
 
 from pktsched import (
+    GREEDY,
     Instance,
     apply_choices,
     blind_follow,
     brute_force_opt,
     build_choices,
+    lap_run,
     opt_schedule,
     prediction_error,
     schedule_weight,
@@ -43,6 +45,13 @@ def test_apply_choices_skips_infeasible_slots():
     real = mk([("x", 1, 3, 1.0)])
     applied = apply_choices(build_choices(pred), real)
     assert all(j is None for j in applied.slots)
+
+
+def test_apply_choices_places_a_repeated_choice_once(j2):
+    # A choice sequence may name a job twice; it runs at its first
+    # feasible choice only, and the later choice leaves its slot empty.
+    applied = apply_choices(("b", "b", "b"), j2)
+    assert [j.id if j else None for j in applied.slots] == ["b", None, None]
 
 
 def test_prediction_error_examples(j1, j2):
@@ -126,3 +135,17 @@ def test_error_of_an_undriven_instance_builds_no_buffer_tables():
         assert "released" in vars(real) and "released" not in vars(pred)
         for inst in (real, pred):
             assert "arrivals" not in vars(inst) and "expiring" not in vars(inst)
+
+
+def test_the_prediction_is_read_by_rank_not_by_id():
+    # The prediction's optimum is solved and placed on ranks, and its
+    # choices are looked up in the realization: the error, LAP and the
+    # blind follower build no id map of the prediction.
+    rng = random.Random(41)
+    for k in range(30):
+        real = random_instance(rng, max_jobs=12, max_horizon=10, min_jobs=1)
+        pred = perturb(real, PerturbationSpec("weight-gauss", sigma=0.3, seed=k))
+        prediction_error(real, pred)
+        lap_run(pred, real, 1.1, GREEDY)
+        blind_follow(pred, real)
+        assert "optimum" in vars(pred) and "by_id" not in vars(pred)
