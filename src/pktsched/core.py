@@ -4,6 +4,10 @@ Jobs, instances, schedules, feasibility, canonical (earliest-deadline)
 ordering, and the CSV instance format shared by the whole package.
 Everything here is an immutable value; operations are pure.
 
+An instance is a set of columns (ids, releases, deadlines, weights), and
+every layer reads them; a ``Job`` record is built only for a job that a
+schedule holds, once per instance (:meth:`Instance.record`).
+
 Weights are kept as given and may tie. Every order on jobs in the package
 is :func:`heavier_first` or :func:`edf_first`, where on a weight tie the
 smaller id counts as heavier, so every result is deterministic.
@@ -17,9 +21,10 @@ from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import attrgetter, eq, lt
+from itertools import islice
+from operator import add, attrgetter, eq, itemgetter, lt
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, TextIO
 
 
 # The largest horizon an Instance may have. Every layer keeps per-slot
@@ -133,89 +138,195 @@ def edf_first(job: Job) -> tuple[int, float, str]:
     return (job.deadline, -job.weight, job.id)
 
 
-@dataclass(frozen=True)
+class Columns(NamedTuple):
+    """Four columns of an instance's jobs, one entry per job: its id,
+    release, deadline and weight. ``Instance.by_rank`` holds them in rank
+    order."""
+
+    ids: tuple[str, ...]
+    releases: tuple[int, ...]
+    deadlines: tuple[int, ...]
+    weights: tuple[float, ...]
+
+
+@dataclass(frozen=True, init=False)
 class Instance:
     """A finite job collection plus the time horizon (slots 0..horizon).
 
-    Jobs are stored in strictly increasing id order, so ids are unique and
-    a stable sort of ``jobs`` keeps id order on ties. Weights may tie (see
-    the module docstring for how jobs are ordered). Build instances through
-    :meth:`of`, which sorts the jobs and fills in the default horizon (the
-    largest deadline). The horizon is at most :data:`MAX_HORIZON`.
+    An instance is five fields: four columns, ``ids``, ``releases``,
+    ``deadlines`` and ``weights``, with one entry per job in strictly
+    increasing id order (so ids are unique), and ``horizon``, at most
+    :data:`MAX_HORIZON`; equality and hashing read only these. Each job's
+    entries pass :class:`Job`'s checks. Build an instance from ``Job``
+    records with :meth:`of` (which sorts them and fills in the default
+    horizon, the largest deadline) or ``Instance(jobs, horizon)`` (jobs
+    already in id order), or from columns with :meth:`from_columns`, as
+    the CSV reader, the generators and the perturbations do.
 
     What is derived from the instance is a ``cached_property``, built on
-    first read and kept with the instance: the id map, the ``heavier_first``
-    order (``ranked``) that the optimum, the series and every online run
-    share, the per-slot tables that every online run reads (``arrivals``,
-    ``expiring`` and ``released``, the series' only one), the
-    prefix-optimum series and the optimum. No caller changes one.
+    first read and kept with the instance; no caller changes one:
+
+    - the rank order: ``by_rank``, the columns in :func:`heavier_first`
+      order (a job's rank is its index there), ``ranks`` and ``rank_of``,
+      id to rank. The optimum, the series and every online run read these.
+    - per-slot rank tables: ``released`` and ``expiring``, and
+      ``edf_keys``, each rank's int :func:`edf_first` key;
+    - the prefix-optimum series and the optimum;
+    - ``Job`` records. :meth:`record` builds the record of one rank on its
+      first read and keeps it, so a schedule builds a record only for a job
+      it holds, and every schedule of the instance shares it. ``jobs``
+      (in id order) and ``by_id`` hold every record; only the tests, the
+      brute-force oracle and :func:`pending_set` read them. An instance
+      built from records keeps those records.
     """
 
-    jobs: tuple[Job, ...]
+    ids: tuple[str, ...]
+    releases: tuple[int, ...]
+    deadlines: tuple[int, ...]
+    weights: tuple[float, ...]
     horizon: int
 
-    def __post_init__(self):
-        ids = list(map(attrgetter("id"), self.jobs))
-        if not all(map(lt, ids, ids[1:])):
-            if any(map(eq, ids, ids[1:])):
-                raise ValueError("duplicate job ids in instance")
-            raise ValueError("instance jobs not sorted by id (use Instance.of)")
-        for j in self.jobs:
-            if j.deadline > self.horizon:
-                raise ValueError(f"job {j.id!r}: deadline exceeds horizon {self.horizon}")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        check_horizon("horizon", self.horizon)
+    def __init__(self, jobs: Iterable[Job], horizon: int):
+        jobs = tuple(jobs)
+        columns = (
+            tuple(map(attrgetter(name), jobs)) for name in ("id", "release", "deadline", "weight")
+        )
+        self._fill(*columns, horizon)
+        self.__dict__["jobs"] = jobs
 
     @classmethod
     def of(cls, jobs: Iterable[Job], horizon: Optional[int] = None) -> "Instance":
         """Jobs sorted by id, weights kept bit-for-bit; horizon defaults to
         the largest deadline."""
         ordered = tuple(sorted(jobs, key=attrgetter("id")))
-        max_deadline = max((j.deadline for j in ordered), default=0)
         if horizon is None:
-            horizon = max_deadline
+            horizon = max((j.deadline for j in ordered), default=0)
         return cls(ordered, horizon)
 
-    @cached_property
-    def by_id(self) -> dict[str, Job]:
-        return {j.id: j for j in self.jobs}
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Iterable[str],
+        releases: Iterable[int],
+        deadlines: Iterable[int],
+        weights: Iterable[float],
+        horizon: Optional[int] = None,
+    ) -> "Instance":
+        """The instance :meth:`of` builds from the jobs whose fields are the
+        columns' entries, with the same checks and messages, building no
+        record: the entries are checked as ``Job`` checks them (the first
+        job it would reject raises), the columns are put in id order, and
+        the horizon defaults to the largest deadline. Releases and
+        deadlines are ints (slots), so ``release < deadline`` is ``Job``'s
+        ``deadline >= release + 1``."""
+        ids, releases, deadlines, weights = columns = tuple(
+            map(tuple, (ids, releases, deadlines, weights))
+        )
+        if not (
+            min(releases, default=0) >= 0
+            and all(map(lt, releases, deadlines))
+            and all(map(math.isfinite, weights))
+            and min(weights, default=0.0) >= 0
+        ):
+            for row in zip(*columns):
+                Job(*row)
+        if not all(map(lt, ids, ids[1:])):
+            rows = sorted(zip(*columns), key=itemgetter(0))
+            ids, releases, deadlines, weights = zip(*rows)
+        if horizon is None:
+            horizon = max(deadlines, default=0)
+        instance = cls.__new__(cls)
+        instance._fill(ids, releases, deadlines, weights, horizon)
+        return instance
+
+    def _fill(self, ids, releases, deadlines, weights, horizon) -> None:
+        """Check the instance's own invariants and set its fields."""
+        if not all(map(lt, ids, ids[1:])):
+            if any(map(eq, ids, ids[1:])):
+                raise ValueError("duplicate job ids in instance")
+            raise ValueError("instance jobs not sorted by id (use Instance.of)")
+        if deadlines and max(deadlines) > horizon:
+            late = next(i for i, deadline in enumerate(deadlines) if deadline > horizon)
+            raise ValueError(f"job {ids[late]!r}: deadline exceeds horizon {horizon}")
+        if horizon < 0:
+            raise ValueError("horizon must be >= 0")
+        check_horizon("horizon", horizon)
+        self.__dict__.update(
+            ids=ids, releases=releases, deadlines=deadlines, weights=weights, horizon=horizon
+        )
 
     @cached_property
-    def ranked(self) -> tuple[Job, ...]:
-        """The jobs in :func:`heavier_first` order; a job's rank is its
-        index here.
-
-        ``jobs`` is in increasing id order and the sort is stable
-        (``reverse`` keeps it so), so equal weights stay smaller id first.
-        """
-        return tuple(sorted(self.jobs, key=attrgetter("weight"), reverse=True))
-
-    @cached_property
-    def arrivals(self) -> tuple[dict[str, Job], ...]:
-        """``arrivals[t]``: the jobs released at slot t in 0..horizon, as a
-        dict from id to job, in id order."""
-        arrivals: list[dict[str, Job]] = [{} for _ in range(self.horizon + 1)]
-        for job in self.jobs:
-            arrivals[job.release][job.id] = job
-        return tuple(arrivals)
+    def by_rank(self) -> Columns:
+        """The four columns in rank order: ``by_rank.weights[rank]`` is the
+        weight of the job of that rank. One stable sort of the jobs' rows
+        by weight (``reverse`` keeps it stable), so equal weights stay
+        smaller id first."""
+        columns = (self.ids, self.releases, self.deadlines, self.weights)
+        rows = sorted(zip(*columns), key=itemgetter(3), reverse=True)
+        return Columns(*zip(*rows)) if rows else Columns((), (), (), ())
 
     @cached_property
-    def expiring(self) -> tuple[tuple[str, ...], ...]:
-        """``expiring[t]``: the ids of the jobs whose deadline is slot t."""
-        expiring: list = [[] for _ in range(self.horizon + 1)]
-        for job in self.jobs:
-            expiring[job.deadline].append(job.id)
-        return _tuples(expiring)
+    def ranks(self) -> tuple[int, ...]:
+        """The ranks, 0..n-1 for an n-job instance: the one int object of
+        each rank that every rank table holds, so the tables share n ints."""
+        return tuple(range(len(self.ids)))
+
+    @cached_property
+    def rank_of(self) -> dict[str, int]:
+        """Each job's id to its rank."""
+        return dict(zip(self.by_rank.ids, self.ranks))
 
     @cached_property
     def released(self) -> tuple[tuple[int, ...], ...]:
-        """``released[t]``: the ranks (indexes into ``ranked``) of the jobs
-        released at slot t, in rank order."""
-        released: list = [[] for _ in range(self.horizon + 1)]
-        for rank, job in enumerate(self.ranked):
-            released[job.release].append(rank)
-        return _tuples(released)
+        """``released[t]``: the ranks of the jobs released at slot t in
+        0..horizon, in rank order."""
+        return _slot_table(self.ranks, self.by_rank.releases, self.horizon)
+
+    @cached_property
+    def expiring(self) -> tuple[tuple[int, ...], ...]:
+        """``expiring[t]``: the ranks of the jobs whose deadline is slot t,
+        in rank order."""
+        return _slot_table(self.ranks, self.by_rank.deadlines, self.horizon)
+
+    @cached_property
+    def edf_keys(self) -> tuple[int, ...]:
+        """``deadline * n + rank`` of each rank, for an n-job instance. Every
+        rank is < n, so deadline ties break by rank, which is
+        :func:`heavier_first` order: the keys' order is :func:`edf_first`
+        order, and ``key % n`` is the rank."""
+        n = len(self.ids)
+        return tuple(map(add, map(n.__mul__, self.by_rank.deadlines), range(n)))
+
+    @cached_property
+    def _records(self) -> list[Optional[Job]]:
+        """The record of each rank, None until :meth:`record` builds it."""
+        jobs = self.__dict__.get("jobs")
+        if jobs is None:
+            return [None] * len(self.ids)
+        # The stable sort that by_rank makes, on the records.
+        return sorted(jobs, key=attrgetter("weight"), reverse=True)
+
+    def record(self, rank: int) -> Job:
+        """The ``Job`` record of the job of that rank, built on its first
+        read and kept with the instance."""
+        records = self._records
+        job = records[rank]
+        if job is None:
+            ids, releases, deadlines, weights = self.by_rank
+            job = records[rank] = Job(ids[rank], releases[rank], deadlines[rank], weights[rank])
+        return job
+
+    @cached_property
+    def jobs(self) -> tuple[Job, ...]:
+        """Every job's record, in id order."""
+        if "_records" not in self.__dict__:
+            return tuple(map(Job, self.ids, self.releases, self.deadlines, self.weights))
+        rank_of = self.rank_of
+        return tuple(self.record(rank_of[i]) for i in self.ids)
+
+    @cached_property
+    def by_id(self) -> dict[str, Job]:
+        return dict(zip(self.ids, self.jobs))
 
     @cached_property
     def prefix_opt(self) -> tuple[float, ...]:
@@ -239,12 +350,19 @@ class Instance:
         return _place(self, _optimal_ranks(self))
 
 
-def _tuples(lists: list[list]) -> tuple[tuple, ...]:
-    """The lists as a tuple of tuples. Each list is let go as its tuple is
-    made, so the lists and the tuples are never all held at once."""
-    for t, items in enumerate(lists):
-        lists[t] = tuple(items)
-    return tuple(lists)
+def _slot_table(
+    ranks: tuple[int, ...], slots: tuple[int, ...], horizon: int
+) -> tuple[tuple[int, ...], ...]:
+    """``table[t]``: the ranks whose entry in ``slots`` is t, for t in
+    0..horizon, in rank order."""
+    table: list = [[] for _ in range(horizon + 1)]
+    for rank, t in zip(ranks, slots):
+        table[t].append(rank)
+    # Each list is let go as its tuple is made, so the lists and the tuples
+    # are never all held at once.
+    for t, entries in enumerate(table):
+        table[t] = tuple(entries)
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -307,8 +425,8 @@ def folded(running: list[float]) -> list[float]:
 def pending_set(instance: Instance, processed: set[str], t: int) -> set[Job]:
     """Released, unprocessed, still-feasible jobs at slot t (the buffer).
 
-    A scan of every job: the reference that ``online.Buffer.jobs``, the
-    id-keyed pending map the run loops keep slot by slot, is tested
+    A scan of every job: the reference that ``online.Buffer.pending``, the
+    set of pending ranks the run loops keep slot by slot, is tested
     against. No run loop calls it.
     """
     return {j for j in instance.jobs if j.id not in processed and feasible_at(j, t)}
@@ -322,7 +440,7 @@ def canonicalize(instance: Instance, selected: set[str]) -> Schedule:
     instance lacks, and InfeasibleSelection when some selected job cannot
     be placed before its deadline. A front end on :func:`_place`.
     """
-    rank_of = {job.id: rank for rank, job in enumerate(instance.ranked)}
+    rank_of = instance.rank_of
     unknown = [i for i in selected if i not in rank_of]
     if unknown:
         raise KeyError(f"selected ids not in instance: {sorted(unknown)}")
@@ -330,32 +448,31 @@ def canonicalize(instance: Instance, selected: set[str]) -> Schedule:
 
 
 def _place(instance: Instance, ranks: list[int]) -> Schedule:
-    """Schedule exactly the jobs of the given ranks (indexes into
-    ``instance.ranked``, each once) in canonical order; see
-    :func:`canonicalize`.
+    """Schedule exactly the jobs of the given ranks (each once) in
+    canonical order; see :func:`canonicalize`.
 
-    The heap holds ``deadline * n + rank`` for an n-job instance, the key
-    ``online.Buffer`` and the prefix series use: every rank is < n, so
-    deadline ties break by rank, which is ``heavier_first`` order, and the
-    heap's order is :func:`edf_first` order.
+    The heap holds the ranks' ``Instance.edf_keys``, computed here for
+    these ranks only: a prediction's optimum places a few of its jobs and
+    needs no key column. The schedule holds the ranks' records.
     """
-    ranked = instance.ranked
-    n = len(ranked)
-    by_release = sorted(ranks, key=lambda rank: ranked[rank].release)
-    releases = [ranked[rank].release for rank in by_release]
-    keys = [ranked[rank].deadline * n + rank for rank in by_release]
+    ids, releases, deadlines, _ = instance.by_rank
+    n = len(ids)
+    record = instance.record
+    by_release = sorted(ranks, key=releases.__getitem__)
+    starts = list(map(releases.__getitem__, by_release))
+    keys = [deadlines[rank] * n + rank for rank in by_release]
     heap: list[int] = []
     slots: list[Optional[Job]] = []
     i, k = 0, len(keys)
     for t in range(instance.horizon + 1):
-        while i < k and releases[i] <= t:
+        while i < k and starts[i] <= t:
             heappush(heap, keys[i])
             i += 1
         if heap:
-            job = ranked[heappop(heap) % n]
-            if job.deadline <= t:
-                raise InfeasibleSelection(f"job {job.id!r} expires unscheduled at slot {t}")
-            slots.append(job)
+            rank = heappop(heap) % n
+            if deadlines[rank] <= t:
+                raise InfeasibleSelection(f"job {ids[rank]!r} expires unscheduled at slot {t}")
+            slots.append(record(rank))
         else:
             slots.append(None)
     return Schedule(tuple(slots))
@@ -367,22 +484,31 @@ def validate_schedule(
     """Check all schedule invariants against the instance.
 
     Returns (ok, violations); ok is True iff the violation list is empty.
+    A job is read against the instance's columns, so no record is built.
     """
+    rank_of = instance.rank_of
+    _, releases, deadlines, weights = instance.by_rank
+    records = instance._records
     violations: list[str] = []
-    seen: set[str] = set()
+    seen: set[int] = set()
     for t, job in enumerate(schedule.slots):
         if job is None:
             continue
-        actual = instance.by_id.get(job.id)
-        if actual is None:
+        rank = rank_of.get(job.id)
+        if rank is None:
             violations.append(f"slot {t}: job {job.id!r} not in instance")
             continue
-        # A record the instance holds needs no field compare.
-        if actual is not job and actual != job:
+        # A record the instance holds needs no field compare; any other
+        # equals it only as a Job with the same fields.
+        if job is not records[rank] and not (
+            type(job) is Job
+            and (job.release, job.deadline, job.weight)
+            == (releases[rank], deadlines[rank], weights[rank])
+        ):
             violations.append(f"slot {t}: job {job.id!r} differs from instance record")
-        if job.id in seen:
+        if rank in seen:
             violations.append(f"slot {t}: job {job.id!r} scheduled more than once")
-        seen.add(job.id)
+        seen.add(rank)
         if t < job.release:
             violations.append(f"slot {t}: job {job.id!r} runs before release {job.release}")
         if t > job.deadline - 1:
@@ -399,12 +525,18 @@ def write_instance_csv(instance: Instance, path: Path | str) -> None:
         fh.write(f"# horizon={instance.horizon}\n")
         # With a "\n" line terminator csv quotes no field for a lone "\r",
         # which the reader takes as a line end: quote every field then.
-        lone_cr = "\r" in "".join(map(attrgetter("id"), instance.jobs))
+        lone_cr = "\r" in "".join(instance.ids)
         quoting = csv.QUOTE_ALL if lone_cr else csv.QUOTE_MINIMAL
         writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
         writer.writerow(CSV_HEADER)
-        for j in instance.jobs:
-            writer.writerow([j.id, j.release, j.deadline, repr(j.weight)])
+        writer.writerows(
+            zip(instance.ids, instance.releases, instance.deadlines, map(repr, instance.weights))
+        )
+
+
+# Rows read and converted at a time: the text of one chunk is held at
+# once, never a whole file's.
+_CHUNK = 256
 
 
 def read_instance_csv(path: Path | str) -> Instance:
@@ -414,16 +546,21 @@ def read_instance_csv(path: Path | str) -> Instance:
     Comment (``#``) and blank lines may precede the header; a comment
     ``# horizon=T`` there fixes the horizon, otherwise the largest deadline
     is used. Below the header every record but a blank line is a job row,
-    so any id ``write_instance_csv`` writes reads back unchanged.
+    so any id ``write_instance_csv`` writes reads back unchanged. Fields
+    are read by ``int`` and ``float``, so ``" 5"`` and ``"1_0"`` read as 5
+    and 10.
 
     The weights must have a finite sum: a file whose weights add up past
     the float maximum raises ParseError at the row where the sum does.
     Every sum the package takes is over a subset of them, so none of those
     overflows either.
+
+    The rows are converted and checked a column at a time, and build no
+    ``Job`` record. Only when a check fails are the rows walked one at a
+    time (:func:`_raise_first_fault`), so the ParseError names the first
+    faulty row by line, whichever check found a fault.
     """
     horizon: Optional[int] = None
-    jobs: list[Job] = []
-    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for header_line, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -440,31 +577,63 @@ def read_instance_csv(path: Path | str) -> Instance:
                 break
         else:
             raise ParseError("missing header row", 1)
-        reader = csv.reader(fh)
-        for row in reader:
-            line_no = header_line + reader.line_num
-            if len(row) < 2 and not "".join(row).strip():  # blank line
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", line_no)
-            try:
-                jobs.append(Job(row[0], int(row[1]), int(row[2]), float(row[3])))
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from exc
-            if row[0] in first_line:
-                raise ParseError(
-                    f"duplicate job id {row[0]!r} (first on line {first_line[row[0]]})",
-                    line_no,
-                )
-            first_line[row[0]] = line_no
-    weights = [j.weight for j in jobs]
+        try:
+            columns: list[list] = [[], [], [], []]
+            reader = csv.reader(fh)
+            while rows := list(islice(reader, _CHUNK)):
+                if any(map((4).__ne__, map(len, rows))):
+                    # Drop blank lines; a row left with another field count
+                    # is a fault.
+                    rows = [row for row in rows if len(row) > 1 or "".join(row).strip()]
+                    if any(map((4).__ne__, map(len, rows))):
+                        raise ValueError("field count")
+                ids, releases, deadlines, weights = zip(*rows) if rows else ((),) * 4
+                columns[0] += ids
+                columns[1] += map(int, releases)
+                columns[2] += map(int, deadlines)
+                columns[3] += map(float, weights)
+            instance = Instance.from_columns(*columns, horizon)
+            math.fsum(instance.weights)  # OverflowError past the float maximum
+        except (ValueError, OverflowError, csv.Error):
+            fh.seek(0)
+            _raise_first_fault(fh, header_line)
+            # No row is at fault: the instance's own check failed.
+            raise
+    return instance
+
+
+def _raise_first_fault(fh: TextIO, header_line: int) -> None:
+    """Walk the job rows below the file's header line one at a time and
+    raise the ParseError of the first fault, by line: a field count, a
+    conversion, a check of ``Job``, a duplicate id, or else the weight sum
+    past the float maximum. Return if there is none."""
+    for _ in range(header_line):
+        next(fh)
+    first_line: dict[str, int] = {}
+    weights: list[float] = []
+    reader = csv.reader(fh)
+    for row in reader:
+        line_no = header_line + reader.line_num
+        if len(row) < 2 and not "".join(row).strip():  # blank line
+            continue
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields, got {len(row)}", line_no)
+        try:
+            weights.append(Job(row[0], int(row[1]), int(row[2]), float(row[3])).weight)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from exc
+        if row[0] in first_line:
+            raise ParseError(
+                f"duplicate job id {row[0]!r} (first on line {first_line[row[0]]})",
+                line_no,
+            )
+        first_line[row[0]] = line_no
     if not _finite_sum(weights):
         # Nonnegative weights: the prefix sums only grow.
         k = bisect_left(
             range(len(weights)), True, key=lambda i: not _finite_sum(weights[: i + 1])
         )
-        raise ParseError("weights sum past the float maximum", first_line[jobs[k].id])
-    return Instance.of(jobs, horizon)
+        raise ParseError("weights sum past the float maximum", list(first_line.values())[k])
 
 
 def _finite_sum(values: list[float]) -> bool:

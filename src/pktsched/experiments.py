@@ -22,13 +22,14 @@ import math
 import random
 import time
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
+from itertools import accumulate, chain, repeat
+from operator import add
 from pathlib import Path
 from typing import Optional, get_args, get_origin, get_type_hints
 
 from .core import (
     MAX_GENERATED_JOBS,
     Instance,
-    Job,
     ParseError,
     Schedule,
     check_horizon,
@@ -117,23 +118,22 @@ class GeneratorSpec:
             )
 
 
-def _agreeable_jobs(
+def _agreeable_instance(
     counts: list[int], rng: random.Random, max_slack: int, id_prefix: str = "j"
-) -> list[Job]:
-    # counts[i] arrivals at release slot i+1; running-max deadlines keep
-    # the instance agreeable under generation order.
-    jobs: list[Job] = []
-    last_deadline = 0
-    idx = 0
-    for offset, count in enumerate(counts):
-        release = offset + 1
-        for _ in range(count):
-            deadline = max(last_deadline, release + rng.randint(1, max_slack))
-            last_deadline = deadline
-            weight = 1.0 - rng.random()
-            jobs.append(Job(f"{id_prefix}{idx:05d}", release, deadline, weight))
-            idx += 1
-    return jobs
+) -> Instance:
+    """counts[i] arrivals at release slot i+1. Each job draws its slack,
+    then its weight; running-max deadlines keep the instance agreeable
+    under generation order."""
+    n = sum(counts)
+    draws = [(rng.randint(1, max_slack), rng.random()) for _ in range(n)]
+    slacks, randoms = zip(*draws) if draws else ((), ())
+    releases = tuple(chain.from_iterable(repeat(t, count) for t, count in enumerate(counts, 1)))
+    return Instance.from_columns(
+        [f"{id_prefix}{i:05d}" for i in range(n)],
+        releases,
+        accumulate(map(add, releases, slacks), max),
+        map((1.0).__sub__, randoms),
+    )
 
 
 def generate(spec: GeneratorSpec) -> Instance:
@@ -148,7 +148,7 @@ def generate(spec: GeneratorSpec) -> Instance:
             max(0, round(spec.m * (1.0 - rng.random() ** (1.0 / spec.a))))
             for _ in range(spec.horizon)
         ]
-    return Instance.of(_agreeable_jobs(counts, rng, spec.max_slack))
+    return _agreeable_instance(counts, rng, spec.max_slack)
 
 
 _KEY_ALIASES = {"t": "horizon", "slack": "max_slack"}
@@ -221,32 +221,23 @@ class PerturbationSpec:
 
 
 def perturb(instance: Instance, spec: PerturbationSpec) -> Instance:
+    """The prediction ``spec`` derives from the instance: a new weight or
+    deadline column, each entry drawn in id order, with the other three
+    columns shared."""
     rng = random.Random(spec.seed)
+    ids, releases = instance.ids, instance.releases
+    deadlines, weights = instance.deadlines, instance.weights
     if spec.kind == "weight-gauss":
         if spec.sigma == 0:
             return instance
-        jobs = [
-            Job(
-                j.id,
-                j.release,
-                j.deadline,
-                max(j.weight + rng.gauss(0.0, spec.sigma), WEIGHT_FLOOR),
-            )
-            for j in instance.jobs
-        ]
-        return Instance.of(jobs, instance.horizon)
+        noise = [rng.gauss(0.0, spec.sigma) for _ in weights]
+        noisy = map(max, map(add, weights, noise), repeat(WEIGHT_FLOOR))
+        return Instance.from_columns(ids, releases, deadlines, noisy, instance.horizon)
     if spec.k == 0:
         return instance
-    jobs = [
-        Job(
-            j.id,
-            j.release,
-            max(j.release + 1, j.deadline + rng.randint(-spec.k, spec.k)),
-            j.weight,
-        )
-        for j in instance.jobs
-    ]
-    return Instance.of(jobs)
+    shifts = [rng.randint(-spec.k, spec.k) for _ in deadlines]
+    shifted = map(max, map((1).__add__, releases), map(add, deadlines, shifts))
+    return Instance.from_columns(ids, releases, shifted, weights)
 
 
 def _check_ingest_arguments(slots_per_day: int, max_slack: int, ts_col: int) -> None:
@@ -296,7 +287,8 @@ def ingest_snap_events(
                 )
             try:
                 events.append(int(float(fields[ts_col])))
-            except ValueError as exc:
+            # OverflowError: an infinite timestamp has no int.
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(
                     f"field {ts_col} ({fields[ts_col]!r}) is not a timestamp", line_no
                 ) from exc
@@ -316,8 +308,9 @@ def ingest_snap_events(
             slot = 1 + (ts - start) * slots_per_day // DAY_S
             counts[min(max(slot, 1), slots_per_day) - 1] += 1
         rng = random.Random(derive_seed(seed, "day", day_key))
-        jobs = _agreeable_jobs(counts, rng, max_slack, id_prefix=f"d{day_index:03d}e")
-        instances.append(Instance.of(jobs))
+        instances.append(
+            _agreeable_instance(counts, rng, max_slack, id_prefix=f"d{day_index:03d}e")
+        )
     return instances
 
 
@@ -352,10 +345,13 @@ class ExperimentConfig:
     its qualifying days); the fields it reads are checked when the config is
     built, as the generator or the ingest checks them. ``sweep`` is
     ``sigma`` (weight noise) or ``k`` (deadline shift, whole ``values``
-    only). ``algorithms`` (each name once) and ``fallback`` take the names
-    :func:`run_algorithm` reads; a bare ``edf-alpha`` runs with threshold
-    ``alpha``. The learning-augmented scheduler runs with threshold 1 +
-    rho_excess and the named fallback; the benchmarks ignore the prediction.
+    only; the largest deadline a shift can reach, ``horizon + max_slack +
+    max(values)`` or ``slots_per_day + max_slack + max(values)``, is at
+    most ``core.MAX_HORIZON``). ``algorithms`` (each name once) and
+    ``fallback`` take the names :func:`run_algorithm` reads; a bare
+    ``edf-alpha`` runs with threshold ``alpha``. The learning-augmented
+    scheduler runs with threshold 1 + rho_excess and the named fallback;
+    the benchmarks ignore the prediction.
     """
 
     dataset: str
@@ -391,8 +387,17 @@ class ExperimentConfig:
             if self.trials < 1:
                 raise ValueError(f"trials must be >= 1, got {self.trials!r}")
             self.generator_spec(self.seed)  # checks the generator fields
+            window = "horizon"
         else:
             _check_ingest_arguments(self.slots_per_day, self.max_slack, self.ts_col)
+            window = "slots_per_day"
+        if self.sweep == "k":
+            # A deadline shift of k moves the largest deadline, at most
+            # window + max_slack, by at most k.
+            check_horizon(
+                f"{window} + max_slack + max(values)",
+                getattr(self, window) + self.max_slack + int(max(self.values)),
+            )
         if not self.rho_excess >= 0:
             raise ValueError("rho_excess must be >= 0")
         for i, name in enumerate(self.algorithms):

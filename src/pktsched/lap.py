@@ -153,6 +153,7 @@ def lap_run(
     choices = build_choices(prediction)
     series = realization.prefix_opt
     step = policy.step
+    rank_of, weight_of = realization.rank_of, realization.by_rank.weights
     processed_weights: list[float] = []
     sources: list[str] = []
     job_ids: list[Optional[str]] = []
@@ -161,21 +162,21 @@ def lap_run(
 
     def pick(t: int, buffer: Buffer) -> Optional[str]:
         cid = choices[t] if t < len(choices) else None
-        # Pending means released, unprocessed and feasible at t.
-        predicted = buffer.jobs.get(cid)
+        rank = rank_of.get(cid)
         ratio: Optional[float] = None
         source = ONLINE
-        if predicted is not None:
+        # Pending means released, unprocessed and feasible at t.
+        if rank in buffer.pending:
             passed, ratio = local_test(
-                series, folded(processed_weights), predicted.weight, t, rho
+                series, folded(processed_weights), weight_of[rank], t, rho
             )
             if passed:
                 source = PREDICTION
         job_id = cid if source == PREDICTION else step(buffer)
         weight = 0.0
         if job_id is not None:
-            # KeyError, as drive raises, if the fallback names no pending job.
-            weight = buffer.jobs[job_id].weight
+            # KeyError, as drive raises, if the fallback names no job.
+            weight = weight_of[rank_of[job_id]]
             processed_weights.append(weight)
         sources.append(source)
         job_ids.append(job_id)

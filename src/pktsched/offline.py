@@ -34,21 +34,21 @@ Each search is the faster of the two on its own path; on the benchmark
 shapes the layered search made the optimum solve 12-22% slower.
 
 The matching works on ranks, not ``Job`` records: a job is its index in
-``Instance.ranked``, the instance's jobs sorted once in ``heavier_first``
-order and shared with the online runs' buffers. Slots hold ranks, so
-comparing two jobs in ``heavier_first`` order is an int compare, and the
-last owner of a set of slots is one C-level ``max`` over them.
+the instance's ``heavier_first`` order, sorted once per ``Instance`` and
+shared with the online runs' buffers, and the matching reads the release
+and deadline columns in that order (``Instance.by_rank``). Slots hold
+ranks, so comparing two jobs in ``heavier_first`` order is an int compare,
+and the last owner of a set of slots is one C-level ``max`` over them.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     Instance,
-    Job,
     Schedule,
     canonicalize,
     feasible_at,
@@ -67,10 +67,10 @@ class TooLarge(ValueError):
 class _SlotMatching:
     """Jobs matched onto unit slots by iterative augmenting-path search.
 
-    Built on a list of jobs in ``heavier_first`` order; every method takes
-    and returns ranks, indexes into that list, and a smaller rank comes
-    first. ``add_if_fits`` is the greedy matroid step (call in rank order
-    for a maximum-weight set). ``insert`` additionally performs the
+    Built on an instance's jobs in rank order (``heavier_first``); every
+    method takes and returns ranks, and a smaller rank comes first.
+    ``add_if_fits`` is the greedy matroid step (call in rank order for a
+    maximum-weight set). ``insert`` additionally performs the
     exchange step needed when jobs arrive in release order: a newcomer that
     cannot be added outright evicts the largest rank of its blocking
     structure when that rank is larger than its own. A matching takes its
@@ -96,13 +96,13 @@ class _SlotMatching:
       ``_closed`` (see there).
     """
 
-    def __init__(self, ranked: Sequence[Job]) -> None:
-        self.release = [j.release for j in ranked]
-        self.deadline = [j.deadline for j in ranked]
+    def __init__(self, instance: Instance) -> None:
+        # release[r], deadline[r] = the window of rank r; read-only.
+        _, self.release, self.deadline, _ = instance.by_rank
         horizon = max(self.deadline, default=0)
         # owner[s] = rank of the job in slot s; slot_of[r] = slot of rank r.
         self.owner: list[Optional[int]] = [None] * horizon
-        self.slot_of: list[Optional[int]] = [None] * len(ranked)
+        self.slot_of: list[Optional[int]] = [None] * len(self.release)
         # rel_at[s], dl_at[s] = release and deadline of owner[s]; -1 when
         # slot s is free, below every release and deadline.
         self.rel_at = [-1] * horizon
@@ -333,8 +333,8 @@ class _SlotMatching:
 def _optimal_ranks(instance: Instance) -> list[int]:
     """The ranks of a maximum-weight schedulable set of the instance's jobs:
     the matroid greedy, each rank in turn through ``add_if_fits``."""
-    matching = _SlotMatching(instance.ranked)
-    for rank in range(len(instance.ranked)):
+    matching = _SlotMatching(instance)
+    for rank in range(len(instance.ids)):
         matching.add_if_fits(rank)
     return [rank for rank, slot in enumerate(matching.slot_of) if slot is not None]
 
@@ -401,8 +401,9 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     The releases come from ``Instance.released``. The canonical (EDF)
     placement of that selection is kept through slot t - 1, with a heap of
     its released, unplaced jobs, keyed as ``online.Buffer`` keys them
-    (``deadline * n + rank``); evicted jobs still in the heap are dropped
-    when they reach its top. Jobs released at t cannot change slots before
+    (``deadline * n + rank``, as ``Instance.edf_keys``, computed per push);
+    evicted jobs still in the heap are dropped when they reach its top.
+    Jobs released at t cannot change slots before
     t, and an evicted job that EDF had placed at slot s < t leaves slots
     before s unchanged (EDF passed it over there), so only slots s..t are
     placed again. values[t] is the weight of slots 0..t, the multiset that
@@ -410,15 +411,15 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     ``core.folded`` of a list of each nonzero weight placed and the negation
     of each one undone, so no value is -0.0.
     """
-    ranked = instance.ranked
+    weight_of = instance.by_rank.weights
     released_at = instance.released
-    matching = _SlotMatching(ranked)
+    matching = _SlotMatching(instance)
     release, deadline, slot_of = matching.release, matching.deadline, matching.slot_of
     placed: list[Optional[int]] = []
     placed_at: dict[int, int] = {}
     weights: list[float] = []
     # Every rank is < n, so deadline * n + rank is edf_first order.
-    n = len(ranked)
+    n = len(weight_of)
     waiting: list[int] = []
     values: list[float] = []
     for t in range(instance.horizon + 1):
@@ -436,7 +437,7 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
             undone = [r for r in placed[start:] if r is not None]
             for r in undone:
                 del placed_at[r]
-                if weight := ranked[r].weight:
+                if weight := weight_of[r]:
                     weights.append(-weight)
             del placed[start:]
             undone += [key % n for key in waiting]
@@ -455,7 +456,7 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
                 rank = heappop(waiting) % n
                 placed.append(rank)
                 placed_at[rank] = s
-                if weight := ranked[rank].weight:
+                if weight := weight_of[rank]:
                     weights.append(weight)
             else:
                 placed.append(None)

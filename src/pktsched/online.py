@@ -4,11 +4,13 @@ Each step rule is memoryless: given the current buffer of feasible,
 unprocessed jobs it picks one job id (or none). That makes the rules
 usable standalone and as the fallback inside the learning-augmented
 scheduler, which may hand over mid-stream. :func:`drive` runs the slots
-of every online run, LAP's too: it keeps a :class:`Buffer`, whose ``jobs``
-map (id to job) changes only by the jobs released, expiring or run at each
-slot. Two heaps index it, so greedy, EDF and MG pick in O(log n) amortized
-per step over an n-job run instead of scanning the b buffered jobs;
-EDF-alpha still scans.
+of every online run, LAP's too: it keeps a :class:`Buffer`, whose
+``pending`` set of ranks changes only by the jobs released, expiring or
+run at each slot. Two heaps index it, so greedy, EDF and MG pick in
+O(log n) amortized per step over an n-job run instead of scanning the b
+buffered jobs; EDF-alpha still scans. A run reads the instance's columns;
+its schedule holds a ``Job`` record only for each job it runs
+(``Instance.record``).
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .core import Instance, Job, Schedule, edf_first
+from .core import Instance, Job, Schedule
 
 # Golden ratio: modified greedy's weight threshold and its competitive ratio
 # on agreeable-deadline instances.
@@ -40,37 +42,41 @@ class _Heap:
 class Buffer:
     """The pending jobs of one run: released, not run, not yet expired.
 
-    ``jobs`` maps each pending job's id to the job and is the only record
-    of what is pending. :func:`drive` runs the slots: it calls :meth:`at`
-    for slots 0, 1, 2, ... in turn and pops every job that runs from
-    ``jobs``, so ``jobs`` after ``at(t)`` holds
-    ``core.pending_set(instance, run_so_far, t)``. That holds when slots
-    are skipped too: ``at(t)`` takes each slot since its last call in turn,
-    with one ``dict.update`` from the instance's ``arrivals`` and one pop
-    per id in its ``expiring``. So a slot costs only what changes at it,
-    and a run on an ``Instance`` that was driven before sets up in O(1).
-    The instance's tables are never changed.
+    A job is its rank in the instance's ``heavier_first`` order, and
+    ``pending``, a set of ranks, is the only record of what is pending;
+    ``ids`` and ``weights`` are the instance's columns in rank order
+    (``Instance.by_rank``). :func:`drive` runs the slots: it calls
+    :meth:`at` for slots 0, 1, 2, ... in turn and removes every job that
+    runs from ``pending``, so after ``at(t)`` the ranks in ``pending`` are
+    those of ``core.pending_set(instance, run_so_far, t)``. That holds when
+    slots are skipped too: ``at(t)`` takes each slot since its last call in
+    turn, adding the slot's ranks in ``Instance.released`` and dropping
+    those in ``Instance.expiring``, one C-level set operation each. So a
+    slot costs only what changes at it, and a run on an ``Instance`` that
+    was driven before sets up in O(1). The instance's tables are never
+    changed.
 
     :meth:`heaviest` and :meth:`earliest` read lazy-deletion heaps of int
     keys (:class:`_Heap`): the ranks themselves (``heavier_first`` order),
-    and ``deadline * n + rank`` for an n-job instance. Every rank is < n, so
-    deadline ties break by rank, as ``edf_first`` breaks them: no sort key
-    is built per job and no order is sorted. A heap is fed the ranks
-    released (the instance's ``released``) and still pending on its first
-    read after they come, so a run that never reads it (LAP following its
-    prediction) pays nothing for it. An entry whose job has left ``jobs`` is
-    popped when it reaches the top. Each job is pushed and popped at most
-    once per heap: O(log n) amortized per read over an n-job run, against
-    O(b) to scan a b-job buffer.
+    and the instance's ``edf_keys``, ``deadline * n + rank`` for an n-job
+    instance, in ``edf_first`` order. For either, ``key % n`` is the rank:
+    no sort key is built per job and no order is sorted. A heap is fed the
+    ranks released and still pending on its first read after they come, so
+    a run that never reads it (LAP following its prediction) pays nothing
+    for it, and a run that never reads ``earliest`` never builds the key
+    column. An entry whose job has left ``pending`` is popped when it
+    reaches the top. Each job is pushed and popped at most once per heap:
+    O(log n) amortized per read over an n-job run, against O(b) to scan a
+    b-job buffer.
     """
 
     def __init__(self, instance: Instance) -> None:
-        self.jobs: dict[str, Job] = {}
-        self._arrivals = instance.arrivals
-        self._expiring = instance.expiring
+        self.pending: set[int] = set()
+        self.instance = instance
+        self.ids, _, _, self.weights = instance.by_rank
         self._released = instance.released
-        self._ranked = instance.ranked
-        self._n = len(instance.ranked)
+        self._expiring = instance.expiring
+        self._n = len(self.ids)
         # The last slot admitted; no job is released or expires past the
         # horizon, so it stops there.
         self._t = -1
@@ -78,65 +84,63 @@ class Buffer:
         self._earliest = _Heap()
 
     def __len__(self) -> int:
-        return len(self.jobs)
+        return len(self.pending)
 
     def at(self, t: int) -> Buffer:
         """Admit the jobs released by t, drop those expiring by t, and
         return the buffer (the step rules only read it)."""
         s = self._t
         if s < t:
-            jobs = self.jobs
-            pop = jobs.pop
-            arrivals, expiring = self._arrivals, self._expiring
-            end = t if t < len(arrivals) else len(arrivals) - 1
+            pending = self.pending
+            released, expiring = self._released, self._expiring
+            end = t if t < len(released) else len(released) - 1
             while s < end:
                 s += 1
-                jobs.update(arrivals[s])
-                for job_id in expiring[s]:
-                    pop(job_id, None)
+                pending.update(released[s])
+                pending.difference_update(expiring[s])
             self._t = s
         return self
 
-    def heaviest(self) -> Optional[Job]:
-        """First pending job in ``heavier_first`` order; None if empty."""
-        return self._first(self._heaviest, 0)
+    def heaviest(self) -> Optional[int]:
+        """Rank of the first pending job in ``heavier_first`` order; None if
+        empty."""
+        return self._first(self._heaviest, self.instance.ranks)
 
-    def earliest(self) -> Optional[Job]:
-        """First pending job in ``edf_first`` order; None if empty."""
-        return self._first(self._earliest, self._n)
+    def earliest(self) -> Optional[int]:
+        """Rank of the first pending job in ``edf_first`` order; None if
+        empty."""
+        return self._first(self._earliest, self.instance.edf_keys)
 
-    def _first(self, heap: _Heap, n: int) -> Optional[Job]:
-        """Feed the heap the pending ranks released since its last read,
-        pop the stale entries off its top, and return the top job. A key
-        is ``deadline * n + rank`` (``key % n`` is the rank), or with n = 0
-        the rank itself."""
-        jobs, entries, ranked = self.jobs, heap.entries, self._ranked
+    def _first(self, heap: _Heap, keys: Sequence[int]) -> Optional[int]:
+        """Feed the heap the keys of the pending ranks released since its
+        last read, pop the stale entries off its top, and return the top
+        rank."""
+        pending, entries = self.pending, heap.entries
         if heap.fed <= self._t:
             for released in self._released[heap.fed : self._t + 1]:
                 for rank in released:
-                    job = ranked[rank]
-                    if job.id in jobs:
-                        heappush(entries, job.deadline * n + rank if n else rank)
+                    if rank in pending:
+                        heappush(entries, keys[rank])
             heap.fed = self._t + 1
+        n = self._n
         while entries:
-            key = entries[0]
-            job = ranked[key % n if n else key]
-            if job.id in jobs:
-                return job
+            rank = entries[0] % n
+            if rank in pending:
+                return rank
             heappop(entries)
         return None
 
 
 def greedy_step(buffer: Buffer) -> Optional[str]:
     """Heaviest buffered job; None on an empty buffer."""
-    job = buffer.heaviest()
-    return job.id if job is not None else None
+    rank = buffer.heaviest()
+    return buffer.ids[rank] if rank is not None else None
 
 
 def edf_step(buffer: Buffer) -> Optional[str]:
     """First buffered job in ``edf_first`` order; None on an empty buffer."""
-    job = buffer.earliest()
-    return job.id if job is not None else None
+    rank = buffer.earliest()
+    return buffer.ids[rank] if rank is not None else None
 
 
 def edf_alpha_step(buffer: Buffer, alpha: float) -> Optional[str]:
@@ -144,12 +148,14 @@ def edf_alpha_step(buffer: Buffer, alpha: float) -> Optional[str]:
     buffer maximum."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    jobs = buffer.jobs.values()
-    if not jobs:
+    pending = buffer.pending
+    if not pending:
         return None
-    top = max(j.weight for j in jobs)
-    eligible = [j for j in jobs if j.weight >= alpha * top]
-    return min(eligible, key=edf_first).id
+    weights, keys = buffer.weights, buffer.instance.edf_keys
+    # The smallest rank is the heaviest job.
+    threshold = alpha * weights[min(pending)]
+    key = min(keys[rank] for rank in pending if weights[rank] >= threshold)
+    return buffer.ids[key % len(keys)]
 
 
 def mg_step(buffer: Buffer) -> Optional[str]:
@@ -162,8 +168,9 @@ def mg_step(buffer: Buffer) -> Optional[str]:
     # it would be heavier with a no-later deadline, so it would sort first.
     # Filtering out dominated jobs cannot change the pick.
     earliest = buffer.earliest()
-    pick = earliest if earliest.weight >= heaviest.weight / PHI else heaviest
-    return pick.id
+    weights = buffer.weights
+    pick = earliest if weights[earliest] >= weights[heaviest] / PHI else heaviest
+    return buffer.ids[pick]
 
 
 # Step rule per policy name. The lambdas look the rules up in this module
@@ -221,14 +228,21 @@ def drive(
     At each slot t the buffer admits the jobs released by t and drops those
     expiring at t; then ``pick(t, buffer)`` names the pending job that runs
     in slot t, or None to leave the slot empty. The named job leaves
-    ``buffer.jobs``; KeyError if no pending job has that id.
+    ``buffer.pending`` and its record (``Instance.record``) fills the slot;
+    KeyError if no pending job has that id.
     """
     buffer = Buffer(instance)
-    jobs = buffer.jobs
+    take = buffer.pending.remove
+    rank_of, record = instance.rank_of, instance.record
     slots: list[Optional[Job]] = []
     for t in range(instance.horizon + 1):
         job_id = pick(t, buffer.at(t))
-        slots.append(jobs.pop(job_id) if job_id is not None else None)
+        if job_id is None:
+            slots.append(None)
+        else:
+            rank = rank_of[job_id]
+            take(rank)
+            slots.append(record(rank))
     return Schedule(tuple(slots))
 
 

@@ -40,16 +40,17 @@ def apply_choices(
     The schedule spans the realization's horizon: choices past it are
     dropped, since no realized job is feasible there.
     """
-    by_id = realization.by_id
-    placed: set[str] = set()
+    rank_of = realization.rank_of
+    _, releases, deadlines, _ = realization.by_rank
+    record = realization.record
+    placed: set[int] = set()
     slots: list[Optional[Job]] = []
     for t in range(realization.horizon + 1):
-        cid = choices[t] if t < len(choices) else None
-        job = by_id.get(cid) if cid is not None else None
+        rank = rank_of.get(choices[t]) if t < len(choices) else None
         # Feasible at t: released by t, deadline after t.
-        if job is not None and job.release <= t < job.deadline and cid not in placed:
-            placed.add(cid)
-            slots.append(job)
+        if rank is not None and releases[rank] <= t < deadlines[rank] and rank not in placed:
+            placed.add(rank)
+            slots.append(record(rank))
         else:
             slots.append(None)
     return Schedule(tuple(slots))

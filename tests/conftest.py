@@ -8,6 +8,17 @@ def mk(rows, horizon=None):
     return Instance.of([Job(i, r, d, w) for i, r, d, w in rows], horizon)
 
 
+def pending_jobs(buffer):
+    """The buffer's pending jobs, as an id-to-record dict."""
+    instance = buffer.instance
+    return {instance.by_rank.ids[rank]: instance.record(rank) for rank in buffer.pending}
+
+
+def take(buffer, job_id):
+    """Run the pending job with that id, as ``online.drive`` does."""
+    buffer.pending.remove(buffer.instance.rank_of[job_id])
+
+
 @pytest.fixture
 def j1():
     # Two-job lower-bound fixture: a tight light job and a loose unit job.

@@ -135,7 +135,8 @@ def mg_step(jobs: set[Job]) -> Optional[str]:
 
 
 def selected_ids(ranked: list[Job], matching: _SlotMatching) -> set[str]:
-    """Ids of the jobs a matching built on ``ranked`` holds."""
+    """Ids of the jobs a matching holds; ``ranked`` is its instance's jobs
+    in rank order."""
     return {ranked[r].id for r, s in enumerate(matching.slot_of) if s is not None}
 
 

@@ -8,6 +8,7 @@ import pytest
 from pktsched import (
     ExperimentConfig,
     GeneratorSpec,
+    Job,
     PerturbationSpec,
     generate,
     offline,
@@ -17,7 +18,9 @@ from pktsched import (
     schedule_weight,
     write_instance_csv,
 )
+from pktsched import cli, prediction
 from pktsched.cli import main
+from pktsched.core import MAX_HORIZON
 from conftest import mk
 
 
@@ -322,13 +325,103 @@ def test_event_log_config_fails_before_making_out_dir(tmp_path, key, field, valu
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize(
+    "dataset, window",
+    [("uniform", "horizon"), ("events", "slots_per_day")],
+)
+def test_deadline_shift_past_the_bound_fails_before_making_out_dir(tmp_path, dataset, window, capsys):
+    # A k sweep grows the largest deadline, at most window + max_slack, by
+    # at most max(values): the config checks that sum when it is built.
+    events = tmp_path / "events.txt"
+    events.write_text("1 2 86400\n", encoding="utf-8")
+    name = str(events) if dataset == "events" else dataset
+    out = tmp_path / "kout"
+    message = (
+        f"{window} + max_slack + max(values) = 100000000000000000015 "
+        "exceeds MAX_HORIZON = 1000000"
+    )
+    cfg = _config(
+        tmp_path,
+        f"dataset = {name}\nsweep = k\nvalues = 0, 1e20\nT = 5\n"
+        f"slots_per_day = 5\nout_dir = {out}\n",
+    )
+    with pytest.raises(SystemExit, match=f"^pktsched experiment: {re.escape(message)}$"):
+        main(["experiment", "--config", str(cfg)])
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "")
+    # Right at the bound the config builds; a sigma sweep shifts nothing.
+    fields = {window: 5, "out_dir": str(out)}
+    ExperimentConfig(name, "k", (0.0, MAX_HORIZON - 15.0), **fields)
+    ExperimentConfig(name, "sigma", (0.0, 1e20), **fields)
+
+
+@pytest.mark.parametrize("stamp", ["inf", "-inf", "1e400", "nan"])
+def test_ingest_of_a_timestamp_with_no_int_exits_with_one_line(tmp_path, stamp, capsys):
+    events = tmp_path / "events.txt"
+    events.write_text(f"1 2 86400\n1 2 {stamp}\n", encoding="utf-8")
+    out = tmp_path / "days"
+    message = f"pktsched ingest: line 2: field 2 ('{stamp}') is not a timestamp"
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        main(["ingest", "--in", str(events), "--out-dir", str(out)])
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_run_builds_a_record_only_for_a_job_a_schedule_holds(tmp_path, monkeypatch, capsys):
+    # `run` reads columns: it builds a Job record only for a slot of a
+    # schedule it makes, at most once per instance and rank, and never
+    # every record (`jobs`, `by_id`).
+    # Overloaded: most jobs never run.
+    real = generate(GeneratorSpec("powerlaw", horizon=40, a=30, m=200, max_slack=12, seed=3))
+    pred = perturb(real, PerturbationSpec("weight-gauss", sigma=0.2, seed=4))
+    real_path, pred_path = tmp_path / "real.csv", tmp_path / "pred.csv"
+    write_instance_csv(real, real_path)
+    write_instance_csv(pred, pred_path)
+    built, read, schedules = [], [], []
+    init = Job.__init__
+
+    def counted_init(job, *fields):
+        built.append(fields[0])
+        init(job, *fields)
+
+    def kept_read(path):
+        read.append(read_instance_csv(path))
+        return read[-1]
+
+    def kept(make):
+        def run(*args):
+            result = make(*args)
+            schedules.append(result[0] if isinstance(result, tuple) else result)
+            return result
+
+        return run
+
+    monkeypatch.setattr(Job, "__init__", counted_init)
+    monkeypatch.setattr(cli, "read_instance_csv", kept_read)
+    monkeypatch.setattr(cli, "run_algorithm", kept(cli.run_algorithm))
+    monkeypatch.setattr(prediction, "apply_choices", kept(prediction.apply_choices))
+    assert main(["run", "--algo", "lap", "--real", str(real_path), "--pred", str(pred_path)]) == 0
+    assert main(["run", "--algo", "mg", "--real", str(real_path)]) == 0
+    capsys.readouterr()
+    assert len(read) == 3 and len(schedules) == 3
+    schedules += [vars(inst)["optimum"] for inst in read if "optimum" in vars(inst)]
+    assert len(schedules) == 5  # lap, the followed choices, mg, two optima
+    held = sum(job is not None for schedule in schedules for job in schedule.slots)
+    assert 0 < len(built) <= held < len(real.ids) + len(pred.ids)
+    assert len(built) == sum(len(inst._records) - inst._records.count(None) for inst in read)
+    for inst in read:
+        assert "jobs" not in vars(inst) and "by_id" not in vars(inst)
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The entry point as the installed script runs it, in a fresh interpreter.
 ENTRY = """
 import sys
 sys.path.insert(0, sys.argv.pop(1))
+from pktsched import cli, prediction
 from pktsched.cli import main
+from pktsched.core import MAX_HORIZON
 sys.exit(main())
 """
 

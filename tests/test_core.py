@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 from dataclasses import FrozenInstanceError, fields, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -252,6 +253,12 @@ def test_validate_schedule_compares_records_that_are_not_the_instances(j2):
     copy = Job(b.id, b.release, b.deadline, b.weight)
     assert copy is not b
     assert validate_schedule(j2, Schedule((a, copy, None))) == (True, [])
+    # An object with the same fields that is not a Job differs, as a Job
+    # never equals it.
+    lookalike = SimpleNamespace(id=b.id, release=b.release, deadline=b.deadline, weight=b.weight)
+    assert validate_schedule(j2, Schedule((a, lookalike, None)))[1] == [
+        "slot 1: job 'b' differs from instance record"
+    ]
 
 
 def test_instance_invariants():
@@ -277,6 +284,43 @@ def test_instance_invariants():
     # Distinct weights pass through untouched.
     inst = mk([("a", 0, 2, 0.25), ("b", 0, 2, 0.5)])
     assert [j.weight for j in inst.jobs] == [0.25, 0.5]
+
+
+def test_instance_columns_records_and_value_contract():
+    jobs = [Job("b", 0, 2, 0.5), Job("a", 1, 3, 0.5), Job("c", 0, 1, 2.0)]
+    inst = Instance.of(jobs)
+    assert (inst.ids, inst.releases, inst.deadlines, inst.weights, inst.horizon) == (
+        ("a", "b", "c"), (1, 0, 0), (3, 2, 1), (0.5, 0.5, 2.0), 3
+    )
+    # The same jobs as columns, in any order, make an equal instance that
+    # builds no record until one is read.
+    twin = Instance.from_columns(["c", "b", "a"], [0, 0, 1], [1, 2, 3], [2.0, 0.5, 0.5])
+    assert twin == inst and hash(twin) == hash(inst) and "jobs" not in vars(twin)
+    # Heavier first; on a weight tie the smaller id first.
+    assert twin.by_rank.ids == ("c", "a", "b") and twin.rank_of == {"c": 0, "a": 1, "b": 2}
+    # Each record is built once and shared; an instance built from records
+    # keeps them.
+    a = twin.record(1)
+    assert a == jobs[1] and twin.record(1) is a and twin.jobs[0] is a
+    assert inst.record(1) is inst.jobs[0] is jobs[1]
+    # A value: the five fields compare, hash and print; it pickles and
+    # copies, and no field can be set.
+    for copied in (pickle.loads(pickle.dumps(twin)), copy.copy(twin), copy.deepcopy(twin)):
+        assert type(copied) is Instance and copied == inst
+    with pytest.raises(FrozenInstanceError):
+        inst.horizon = 4
+    assert inst != inst.jobs and repr(inst) == (
+        "Instance(ids=('a', 'b', 'c'), releases=(1, 0, 0), deadlines=(3, 2, 1), "
+        "weights=(0.5, 0.5, 2.0), horizon=3)"
+    )
+    # The columns are checked as Job and Instance.of check them: the first
+    # job in the given order that Job rejects raises.
+    with pytest.raises(ValueError, match=r"^job 'y': release must be >= 0$"):
+        Instance.from_columns(("z", "y", "x"), (0, -1, 0), (1, 1, 1), (1.0, 1.0, math.nan))
+    with pytest.raises(ValueError, match="^duplicate job ids in instance$"):
+        Instance.from_columns(("a", "a"), (0, 0), (1, 1), (1.0, 1.0))
+    with pytest.raises(ValueError, match="^job 'a': deadline exceeds horizon 1$"):
+        Instance.from_columns(("b", "a"), (0, 0), (2, 2), (1.0, 1.0), 1)
 
 
 def test_tied_weights_are_kept_as_given():
@@ -399,3 +443,89 @@ def test_csv_weight_sum_past_float_max_reports_its_row(tmp_path):
         encoding="utf-8",
     )
     assert schedule_weight(opt_schedule(read_instance_csv(edge))) == 1.7976931348623157e308
+
+
+HEADER = "id,release,deadline,weight\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, line_no",
+    [
+        # The header and the lines above it.
+        ("id,release,deadline\n", "expected header id,release,deadline,weight", 1),
+        ("# note\n\nid;release;deadline;weight\n", "expected header id,release,deadline,weight", 3),
+        ("", "missing header row", 1),
+        ("# note\n\n", "missing header row", 1),
+        ("# horizon=x\n" + HEADER, "bad horizon comment '# horizon=x'", 1),
+        # One fault in a row; blank lines count toward the line number.
+        (HEADER + "a,0,1\n", "expected 4 fields, got 3", 2),
+        (HEADER + "\n \na,0,1,1.0,5\n", "expected 4 fields, got 5", 4),
+        (HEADER + "a,zz,1,1.0\n", "invalid literal for int() with base 10: 'zz'", 2),
+        ("\ufeff" + HEADER + "a,0,1,1.0\nb,zz,1,1.0\n", "invalid literal for int() with base 10: 'zz'", 3),
+        (HEADER + "a,0,1.5,1.0\n", "invalid literal for int() with base 10: '1.5'", 2),
+        (HEADER + "a,0,1,heavy\n", "could not convert string to float: 'heavy'", 2),
+        (HEADER + "a,-1,1,1.0\n", "job 'a': release must be >= 0", 2),
+        (HEADER + "a,2,2,1.0\n", "job 'a': deadline must be >= release + 1", 2),
+        (HEADER + "a,0,1,-0.5\n", "job 'a': weight must be finite and >= 0", 2),
+        (HEADER + "a,0,1,nan\n", "job 'a': weight must be finite and >= 0", 2),
+        (HEADER + "a,0,1,inf\n", "job 'a': weight must be finite and >= 0", 2),
+        # Conversions run left to right, then Job's checks in field order.
+        (HEADER + "a,x,y,z\n", "invalid literal for int() with base 10: 'x'", 2),
+        (HEADER + "a,-1,0,nan\n", "job 'a': release must be >= 0", 2),
+        (HEADER + "b,0,1,1.0\na,0,2,2.0\nb,1,2,3.0\n", "duplicate job id 'b' (first on line 2)", 4),
+        (HEADER + "a,0,1,1e308\nb,0,1,1e308\n", "weights sum past the float maximum", 3),
+        # A quoted id that spans two lines ends its row on the second.
+        (HEADER + '"x\ny",0,zz,1.0\n', "invalid literal for int() with base 10: 'zz'", 3),
+        (HEADER + '"x\ny",0,1,1.0\nb,0,1,1.0\n"x\ny",0,1,1.0\n',
+         "duplicate job id 'x\\ny' (first on line 3)", 6),
+        # Two faults: the first by line wins, and a row fault comes before
+        # the weight sum and before the horizon.
+        (HEADER + "a,0,1,1.0\na,0,2,1.0\nb,0,1,1.0\nc,0,q,1.0\n",
+         "duplicate job id 'a' (first on line 2)", 3),
+        (HEADER + "a,0,1,1.0\nc,0,q,1.0\nb,0,1,1.0\na,0,2,1.0\n",
+         "invalid literal for int() with base 10: 'q'", 3),
+        (HEADER + "a,0,1,1e308\nb,0,1,1e308\nc,0,1,-1\n",
+         "job 'c': weight must be finite and >= 0", 4),
+        ("# horizon=5\n" + HEADER + "a,1_0,20,1.0\nb, 5,7,nan\n",
+         "job 'b': weight must be finite and >= 0", 4),
+        ("# horizon=5\n" + HEADER + "a,0,20,1e308\nb,0,7,1e308\n",
+         "weights sum past the float maximum", 4),
+    ],
+)
+def test_csv_parse_error_messages_and_lines(tmp_path, text, message, line_no):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError) as exc:
+        read_instance_csv(path)
+    assert str(exc.value) == f"line {line_no}: {message}"
+    assert exc.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Past the rows, the instance's own checks raise without a line:
+        # the first job in id order past the horizon, then the horizon.
+        ("# horizon=5\n" + HEADER + "c,0,9,1.0\nb,1_0,20,1.0\na, 0,3,1.0\n",
+         "job 'b': deadline exceeds horizon 5"),
+        ("# horizon=-1\n" + HEADER, "horizon must be >= 0"),
+        ("# horizon=1000001\n" + HEADER, "horizon = 1000001 exceeds MAX_HORIZON = 1000000"),
+        (HEADER + "a,0,1000001,1.0\n", "horizon = 1000001 exceeds MAX_HORIZON = 1000000"),
+    ],
+)
+def test_csv_instance_errors_carry_no_line(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_instance_csv(path)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+def test_csv_reads_lenient_ints_and_rows_in_any_id_order(tmp_path):
+    # int() takes surrounding spaces and digit underscores; rows need not
+    # be in id order.
+    path = tmp_path / "loose.csv"
+    path.write_text(HEADER + "b, 5,1_0,0.5\na,0,2 ,1e-3\n", encoding="utf-8")
+    inst = read_instance_csv(path)
+    assert inst == mk([("a", 0, 2, 1e-3), ("b", 5, 10, 0.5)])
+    assert inst.horizon == 10

@@ -176,6 +176,12 @@ def test_perturb_weight_noise(j2):
     assert all(j.weight >= 1e-9 for j in pred.jobs)
     huge = perturb(j2, PerturbationSpec("weight-gauss", sigma=1e9, seed=4))
     assert min(j.weight for j in huge.jobs) >= 1e-9
+    # Weight noise keeps the horizon; a deadline shift's is its largest
+    # deadline, as for a fresh instance.
+    wide = Instance.of(j2.jobs, 10)
+    assert perturb(wide, PerturbationSpec("weight-gauss", sigma=0.5, seed=3)).horizon == 10
+    shifted = perturb(wide, PerturbationSpec("deadline-shift", k=1, seed=3))
+    assert shifted.horizon == max(shifted.deadlines) < 10
 
 
 def test_perturb_deadline_clamp():
@@ -445,10 +451,10 @@ def test_sweep_solves_each_realizations_series_once(monkeypatch):
 
 def test_sweep_builds_each_realizations_index_once(monkeypatch):
     # Every online run of a trial, lap's at every sweep value included,
-    # drives the trial's realization: its heavier_first order (ranked) and
-    # each of its three per-slot tables are built once, and no table of a
+    # drives the trial's realization: its rank-ordered columns (by_rank)
+    # and each of its rank tables are built once, and no table of a
     # prediction is ever built, since no prediction is driven. A
-    # prediction's ranked order is built once too, for its optimum.
+    # prediction's columns are built once too, for its optimum.
     built, realizations, predictions = Counter(), [], []
     original_generate, original_perturb = experiments.generate, experiments.perturb
 
@@ -460,8 +466,8 @@ def test_sweep_builds_each_realizations_index_once(monkeypatch):
         predictions.append(original_perturb(instance, spec))
         return predictions[-1]
 
-    tables = ("arrivals", "expiring", "released")
-    for name in ("ranked", *tables):
+    tables = ("rank_of", "released", "expiring", "edf_keys")
+    for name in ("by_rank", *tables):
         def counted(instance, build=Instance.__dict__[name].func, name=name):
             built[name, id(instance)] += 1
             return build(instance)
@@ -479,7 +485,7 @@ def test_sweep_builds_each_realizations_index_once(monkeypatch):
     # At sigma = 0 the prediction is the realization itself.
     distinct = {id(p) for p in predictions} - {id(r) for r in realizations}
     assert built == Counter(
-        [("ranked", i) for i in {id(r) for r in realizations} | distinct]
+        [("by_rank", i) for i in {id(r) for r in realizations} | distinct]
         + [(name, id(r)) for r in realizations for name in tables]
     )
 

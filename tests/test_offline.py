@@ -191,7 +191,7 @@ def test_insert_rejects_inside_last_closed_interval_without_search(monkeypatch):
     for name in ("_walk", "_grow"):
         monkeypatch.setattr(_SlotMatching, name, counting(getattr(_SlotMatching, name)))
     ranked = sorted(inst.jobs, key=heavier_first)
-    matching = _SlotMatching(ranked)
+    matching = _SlotMatching(inst)
     for rank in sorted(range(len(ranked)), key=lambda r: (ranked[r].release, r)):
         matching.insert(rank)
     assert selected_ids(ranked, matching) == best
@@ -207,7 +207,7 @@ def test_insert_in_any_order_selects_the_optimum():
         ranks = list(range(len(inst.jobs)))
         rng.shuffle(ranks)
         ranked = sorted(inst.jobs, key=heavier_first)
-        matching = _SlotMatching(ranked)
+        matching = _SlotMatching(inst)
         for rank in ranks:
             matching.insert(rank)
         assert selected_ids(ranked, matching) == opt_schedule(inst).job_ids()
@@ -229,18 +229,19 @@ def _occupied(matching):
 
 
 def _insert_orders(rng):
-    """(ranked jobs, insert order): the fuzz corpus in release order and
-    shuffled, then one instance of each benchmark shape in release order."""
+    """(instance, ranked jobs, insert order): the fuzz corpus in release
+    order and shuffled, then one instance of each benchmark shape in
+    release order."""
     def ranked_in_release_order(inst):
         ranked = sorted(inst.jobs, key=heavier_first)
-        return ranked, sorted(range(len(ranked)), key=lambda r: (ranked[r].release, r))
+        return inst, ranked, sorted(range(len(ranked)), key=lambda r: (ranked[r].release, r))
 
     for inst in _series_fuzz_instances(rng):
-        ranked, order = ranked_in_release_order(inst)
-        yield ranked, order
+        _, ranked, order = ranked_in_release_order(inst)
+        yield inst, ranked, order
         shuffled = order[:]
         rng.shuffle(shuffled)
-        yield ranked, shuffled
+        yield inst, ranked, shuffled
     yield ranked_in_release_order(
         generate(GeneratorSpec("powerlaw", horizon=150, a=30, m=500, max_slack=40, seed=1))
     )
@@ -251,8 +252,8 @@ def _insert_orders(rng):
 
 def test_insert_keeps_its_slot_arrays_and_matches_the_per_slot_walk():
     inserts = 0
-    for ranked, order in _insert_orders(random.Random(149)):
-        matching, oracle = _SlotMatching(ranked), WalkingMatching(ranked)
+    for inst, ranked, order in _insert_orders(random.Random(149)):
+        matching, oracle = _SlotMatching(inst), WalkingMatching(inst)
         occupied = 0
         for rank in order:
             assert matching.insert(rank) == oracle.insert(rank)
@@ -386,7 +387,7 @@ def test_matching_matches_greedy_edf_oracle_past_brute_force():
         shuffled = in_release_order[:]
         rng.shuffle(shuffled)
         for order in (in_release_order, shuffled):
-            matching = _SlotMatching(ranked)
+            matching = _SlotMatching(inst)
             for rank in order:
                 matching.insert(rank)
             assert selected_ids(ranked, matching) == expected

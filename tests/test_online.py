@@ -35,14 +35,16 @@ from conftest import (
     adversarial_prediction,
     edge_shape_instances,
     mk,
+    pending_jobs,
     random_agreeable,
     random_instance,
+    take,
 )
 import reference
 from reference import dominates
 
-# The per-slot tables every Buffer reads off its Instance.
-SLOT_TABLES = ("arrivals", "expiring", "released")
+# The rank tables every Buffer reads off its Instance.
+SLOT_TABLES = ("released", "expiring")
 
 
 def _buffer(rows):
@@ -95,8 +97,9 @@ def test_mg_never_picks_dominated():
     rng = random.Random(37)
     for _ in range(100):
         buffer = _released_at_0(random_instance(rng, min_jobs=1, max_jobs=7))
-        pick = buffer.jobs[mg_step(buffer)]
-        assert not any(dominates(other, pick) for other in buffer.jobs.values())
+        jobs = pending_jobs(buffer)
+        pick = jobs[mg_step(buffer)]
+        assert not any(dominates(other, pick) for other in jobs.values())
 
 
 def _mg_by_dominance_filter(buffer):
@@ -116,14 +119,14 @@ def test_mg_step_matches_dominance_filter_rule():
             for i in range(rng.randint(1, 12))
         ]
         buffer = Buffer(Instance.of(jobs)).at(0)
-        assert mg_step(buffer) == _mg_by_dominance_filter(buffer.jobs.values())
+        assert mg_step(buffer) == _mg_by_dominance_filter(pending_jobs(buffer).values())
 
 
 def test_steps_pick_buffer_members():
     rng = random.Random(41)
     for _ in range(50):
         buffer = _released_at_0(random_instance(rng, min_jobs=1, max_jobs=6))
-        ids = set(buffer.jobs)
+        ids = set(pending_jobs(buffer))
         for policy in (GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)):
             assert policy.step(buffer) in ids
             assert policy.step(_buffer([])) is None
@@ -144,15 +147,16 @@ def test_buffer_matches_pending_set():
         buffer = Buffer(inst)
         processed = set()
         for t in range(inst.horizon + 1):
-            pending = buffer.at(t).jobs
+            pending = pending_jobs(buffer.at(t))
             assert pending == {j.id: j for j in pending_set(inst, processed, t)}
+            assert len(buffer) == len(pending)
             if not pending:
                 continue
             if rng.random() < 0.5:
                 job = inst.by_id[policy.step(buffer)]
             else:
                 job = rng.choice(sorted(pending.values(), key=lambda j: j.id))
-            buffer.jobs.pop(job.id)
+            take(buffer, job.id)
             processed.add(job.id)
 
 
@@ -182,7 +186,7 @@ def test_indexed_rules_match_set_scan():
     for inst in _differential_instances(rng):
         buffer = Buffer(inst)
         for t in range(inst.horizon + 1):
-            jobs = buffer.at(t).jobs
+            jobs = pending_jobs(buffer.at(t))
             picks = [rule(buffer) for rule, _ in rules]
             assert picks == [oracle(jobs.values()) for _, oracle in rules]
             if not jobs:
@@ -191,7 +195,7 @@ def test_indexed_rules_match_set_scan():
                 job = inst.by_id[rng.choice(picks)]
             else:
                 job = rng.choice(sorted(jobs.values(), key=lambda j: j.id))
-            buffer.jobs.pop(job.id)
+            take(buffer, job.id)
 
 
 @pytest.mark.parametrize("fallback", [GREEDY, EDF, MG, OnlineStepPolicy("edf-alpha", 0.5)])
@@ -211,15 +215,17 @@ def test_lap_trace_unchanged_under_set_scan_rules(monkeypatch, fallback):
     indexed = [lap_run(pred, real, rho, fallback) for pred, real, rho in cases]
     for name in ("greedy_step", "edf_step", "mg_step"):
         oracle = getattr(reference, name)
-        monkeypatch.setattr(online, name, lambda buffer, oracle=oracle: oracle(buffer.jobs.values()))
+        monkeypatch.setattr(
+            online, name, lambda buffer, oracle=oracle: oracle(pending_jobs(buffer).values())
+        )
     assert [lap_run(pred, real, rho, fallback) for pred, real, rho in cases] == indexed
 
 
 def test_run_loop_never_hashes_a_job(monkeypatch):
-    # The buffer keys its pending jobs by id: a Job's dataclass hash is a
-    # Python-level call, so no admission, expiry, heap read or take pays
-    # for it. The prefix-optimum series is memoized on its instance, so
-    # reading it hashes nothing either.
+    # The buffer keeps its pending jobs as int ranks: a Job's dataclass
+    # hash is a Python-level call, so no admission, expiry, heap read or
+    # take pays for it. The prefix-optimum series is memoized on its
+    # instance, so reading it hashes nothing either.
     instances = (
         generate(GeneratorSpec("uniform", horizon=60, seed=5)),
         # Overloaded: most jobs expire unrun, so stale heap tops are common.
@@ -247,19 +253,19 @@ def test_run_loop_never_hashes_a_job(monkeypatch):
             assert validate_schedule(inst, run_online(policy, inst))[0]
         buffer = Buffer(inst)
         for t in range(inst.horizon + 1):
-            jobs = buffer.at(t).jobs
-            if jobs:
+            pending = buffer.at(t).pending
+            if pending:
                 assert buffer.heaviest() is not None and buffer.earliest() is not None
                 # An arbitrary pending job, as LAP takes when it follows
                 # the prediction.
-                buffer.jobs.pop(min(jobs))
+                pending.remove(max(pending))
 
 
 def test_runs_sharing_an_instance_match_runs_on_fresh_instances():
-    # Every Buffer reads the heavier_first order and the per-slot tables
-    # kept on its Instance: runs that share one Instance, in either order,
-    # give what runs on fresh copies give, and leave the shared order and
-    # tables as built.
+    # Every Buffer reads the heavier_first order and the per-slot rank
+    # tables kept on its Instance: runs that share one Instance, in either
+    # order, give what runs on fresh copies give, and leave the shared
+    # order and tables as built.
     def fresh(inst):
         return Instance(inst.jobs, inst.horizon)
 
@@ -281,30 +287,35 @@ def test_runs_sharing_an_instance_match_runs_on_fresh_instances():
             if order is not runs:
                 results.reverse()
             assert results == expected
-            assert shared.ranked == tuple(sorted(inst.jobs, key=heavier_first))
+            ranked = [shared.record(rank) for rank in shared.ranks]
+            assert ranked == sorted(inst.jobs, key=heavier_first)
+            assert shared.by_rank == fresh(inst).by_rank
             assert [getattr(shared, name) for name in SLOT_TABLES] == [
                 getattr(fresh(inst), name) for name in SLOT_TABLES
             ]
 
 
 def test_slot_index_holds_each_slots_changes():
-    # Each slot's arrivals, expiring ids and released ranks against scans
-    # of the jobs, and the heaps' deadline * n + rank keys against the
-    # edf_first order; ties included.
+    # The rank-ordered columns, the id-to-rank map, each slot's released
+    # and expiring ranks against scans of the jobs, and the heaps'
+    # deadline * n + rank keys against the edf_first order; ties included.
     rng = random.Random(23)
     instances = [
         generate(GeneratorSpec("powerlaw", horizon=20, a=30, m=100, max_slack=12, seed=23)),
         *(random_instance(rng, max_jobs=12, max_horizon=10, weights=TIED_WEIGHTS) for _ in range(50)),
     ]
     for inst in instances:
-        ranked, n = inst.ranked, len(inst.jobs)
-        assert ranked == tuple(sorted(inst.jobs, key=heavier_first))
-        keys = sorted(ranked[r].deadline * n + r for r in range(n))
+        n = len(inst.jobs)
+        ranked = sorted(inst.jobs, key=heavier_first)
+        assert [inst.record(rank) for rank in inst.ranks] == ranked
+        assert list(zip(*inst.by_rank)) == [(j.id, j.release, j.deadline, j.weight) for j in ranked]
+        assert inst.rank_of == {j.id: rank for rank, j in enumerate(ranked)}
+        assert inst.edf_keys == tuple(j.deadline * n + rank for rank, j in enumerate(ranked))
+        keys = sorted(inst.edf_keys)
         assert [ranked[key % n] for key in keys] == sorted(inst.jobs, key=edf_first)
         for t in range(inst.horizon + 1):
-            assert inst.arrivals[t] == {j.id: j for j in inst.jobs if j.release == t}
-            assert sorted(inst.expiring[t]) == [j.id for j in inst.jobs if j.deadline == t]
             assert [ranked[r] for r in inst.released[t]] == [j for j in ranked if j.release == t]
+            assert [ranked[r] for r in inst.expiring[t]] == [j for j in ranked if j.deadline == t]
 
 
 def test_buffer_skipping_slots_matches_slot_by_slot():
@@ -322,21 +333,22 @@ def test_buffer_skipping_slots_matches_slot_by_slot():
             skipping.at(first)
             for t in range(first + 1):
                 stepping.at(t)
-            assert skipping.jobs == stepping.jobs
-            if skipping.jobs:
+            assert skipping.pending == stepping.pending
+            if skipping.pending:
                 job_id = greedy_step(skipping)
                 assert job_id == greedy_step(stepping)
-                skipping.jobs.pop(job_id)
-                stepping.jobs.pop(job_id)
+                take(skipping, job_id)
+                take(stepping, job_id)
                 processed.add(job_id)
             skipping.at(second)
             for t in range(first + 1, second + 1):
                 stepping.at(t)
-            assert skipping.jobs == stepping.jobs
-            assert skipping.jobs == {j.id: j for j in pending_set(inst, processed, second)}
+            assert skipping.pending == stepping.pending
+            jobs = pending_jobs(skipping)
+            assert jobs == {j.id: j for j in pending_set(inst, processed, second)}
             for rule in (greedy_step, edf_step, mg_step):
                 assert rule(skipping) == rule(stepping)
-                assert rule(skipping) == getattr(reference, rule.__name__)(skipping.jobs.values())
+                assert rule(skipping) == getattr(reference, rule.__name__)(jobs.values())
 
 
 def test_runs_on_a_solved_instance_sort_no_jobs(monkeypatch):
@@ -346,7 +358,7 @@ def test_runs_on_a_solved_instance_sort_no_jobs(monkeypatch):
     # the online runs, which build the per-slot tables and feed the heaps
     # their int keys, sort nothing.
     builds, job_sorts, sorts = [], [], []
-    build = Instance.__dict__["ranked"].func
+    build = Instance.__dict__["by_rank"].func
 
     def counted(instance):
         builds.append(instance)
@@ -360,8 +372,8 @@ def test_runs_on_a_solved_instance_sort_no_jobs(monkeypatch):
         return sorted(items, **kwargs)
 
     prop = cached_property(counted)
-    prop.__set_name__(Instance, "ranked")
-    monkeypatch.setattr(Instance, "ranked", prop)
+    prop.__set_name__(Instance, "by_rank")
+    monkeypatch.setattr(Instance, "by_rank", prop)
     for module in (core, offline, online, lap, prediction):
         monkeypatch.setattr(module, "sorted", sorting, raising=False)
     rng = random.Random(31)
@@ -409,7 +421,7 @@ def test_drive_calls_pick_once_per_slot_after_at():
         calls, buffers, done = [], set(), set()
 
         def pick(t, buffer):
-            assert buffer.jobs == {j.id: j for j in pending_set(inst, done, t)}
+            assert pending_jobs(buffer) == {j.id: j for j in pending_set(inst, done, t)}
             calls.append(t)
             buffers.add(id(buffer))
             job_id = runs.get(t)
@@ -432,7 +444,7 @@ def test_drive_raises_on_a_pick_that_is_not_pending(monkeypatch, j2, stale):
     import pktsched.online as online
 
     monkeypatch.setattr(
-        online, "greedy_step", lambda buffer: "b" if "a" in buffer.jobs else stale
+        online, "greedy_step", lambda buffer: "b" if "a" in pending_jobs(buffer) else stale
     )
     with pytest.raises(KeyError):
         run_online(GREEDY, j2)
