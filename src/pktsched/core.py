@@ -410,7 +410,7 @@ def exact_terms(values: Iterable[float]) -> list[float]:
     return terms
 
 
-_FOLD = 64
+_FOLD = 16
 
 
 def folded(running: list[float]) -> list[float]:

@@ -21,9 +21,12 @@ the interval of its latest failed search, which stays closed until the
 next one, and rejects without a search a newcomer whose window lies inside
 it and which comes after all of its owners in ``heavier_first`` order.
 
-The two operations search differently. The greedy (``add_if_fits``)
+The two operations search differently. The greedy (``_optimal_ranks``)
 walks one slot at a time, so that it can jump over the slots it has
-proven full. The series (``insert``) proves none full, and most of its
+proven full. It searches only when it must: a window with a free slot
+takes the first one outright, and once the jobs taken hold every slot
+from the earliest release to the latest deadline, no later job can fit
+and it stops. The series (``insert``) proves none full, and most of its
 searches fail, which needs no augmenting path: it grows its interval one
 layer at a time, each layer one C-level ``min`` and ``max`` over the
 releases and deadlines of the owners of the slots the last layer added.
@@ -69,12 +72,11 @@ class _SlotMatching:
 
     Built on an instance's jobs in rank order (``heavier_first``); every
     method takes and returns ranks, and a smaller rank comes first.
-    ``add_if_fits`` is the greedy matroid step (call in rank order for a
-    maximum-weight set). ``insert`` additionally performs the
-    exchange step needed when jobs arrive in release order: a newcomer that
-    cannot be added outright evicts the largest rank of its blocking
-    structure when that rank is larger than its own. A matching takes its
-    jobs through one of the two.
+    ``_optimal_ranks`` runs the greedy matroid step on it, each rank in
+    turn. ``insert`` performs the exchange step needed when jobs arrive
+    in release order: a newcomer that cannot be added outright evicts the
+    largest rank of its blocking structure when that rank is larger than
+    its own. A matching takes its jobs through one of the two.
 
     Both searches grow an interval [lo, hi) of slots from the newcomer's
     window: the owner of each occupied slot reached extends it to cover
@@ -82,7 +84,7 @@ class _SlotMatching:
     A failed search ends on a closed interval: all of its slots are
     occupied, by jobs whose windows lie inside it.
 
-    - ``add_if_fits`` walks the slots one at a time (``_walk``) and records
+    - The greedy walks the slots one at a time (``_walk``) and records
       the rank that reached each one. It skips the slots ``_full`` proves
       full: without evictions no slot of a closed interval is ever freed,
       so no later augmenting path can end there.
@@ -259,20 +261,6 @@ class _SlotMatching:
             dl_at[s] = deadline[j]
             s = prev
 
-    def add_if_fits(self, rank: int) -> bool:
-        # Every slot of the window proven full: a search would reach none.
-        release = self.release[rank]
-        if release in self._full and self._next_open(release) >= self.deadline[rank]:
-            return False
-        free, reached = self._walk(rank)
-        if free is None:
-            end = max(map(self.deadline.__getitem__, reached.values()))
-            for s in reached:
-                self._full[s] = end
-            return False
-        self._shift_into(free, reached)
-        return True
-
     def insert(self, rank: int) -> tuple[bool, Optional[int]]:
         """Add the rank, possibly evicting one; returns (added, evicted).
 
@@ -281,7 +269,7 @@ class _SlotMatching:
         the jobs whose removal would admit the newcomer (the matroid
         circuit, whatever slots they hold). Evicting the largest rank among
         them, when the newcomer's rank is smaller, keeps the set
-        ``add_if_fits`` would pick from the same jobs, ties included. The
+        the greedy would pick from the same jobs, ties included. The
         jobs on the path that ``_path_back`` reads back from the search's
         layers to the evicted job's slot shift into it, so no second search
         is needed. The circuit is unique, so the ranks added and evicted,
@@ -331,12 +319,44 @@ class _SlotMatching:
 
 
 def _optimal_ranks(instance: Instance) -> list[int]:
-    """The ranks of a maximum-weight schedulable set of the instance's jobs:
-    the matroid greedy, each rank in turn through ``add_if_fits``."""
+    """The ranks of a maximum-weight schedulable set of the instance's jobs,
+    in slot order: the matroid greedy, each rank in turn.
+
+    A rank whose window ``_full`` proves full is rejected without a search.
+    A window with a free slot takes its first one: the slot ``_walk`` would
+    end on, as its first range is the window, scanned left to right, and
+    the greedy never frees a slot, so no free slot is in ``_full``. Only a
+    window with every slot taken is walked. Each job taken holds its own
+    slot of [earliest release, latest deadline), so once that many are
+    taken no later search can end on a free slot, and the greedy stops.
+    """
     matching = _SlotMatching(instance)
-    for rank in range(len(instance.ids)):
-        matching.add_if_fits(rank)
-    return [rank for rank, slot in enumerate(matching.slot_of) if slot is not None]
+    release, deadline = matching.release, matching.deadline
+    owner, slot_of, full = matching.owner, matching.slot_of, matching._full
+    rel_at, dl_at = matching.rel_at, matching.dl_at
+    room = max(deadline, default=0) - min(release, default=0)
+    taken = 0
+    for rank, (r, d) in enumerate(zip(release, deadline)):
+        if taken == room:
+            break
+        if r in full and matching._next_open(r) >= d:
+            continue
+        if None in owner[r:d]:
+            s = owner.index(None, r, d)
+            owner[s] = rank
+            slot_of[rank] = s
+            rel_at[s] = r
+            dl_at[s] = d
+        else:
+            free, reached = matching._walk(rank)
+            if free is None:
+                end = max(map(deadline.__getitem__, reached.values()))
+                for s in reached:
+                    full[s] = end
+                continue
+            matching._shift_into(free, reached)
+        taken += 1
+    return [rank for rank in owner if rank is not None]
 
 
 def opt_schedule(instance: Instance) -> Schedule:

@@ -140,6 +140,18 @@ def selected_ids(ranked: list[Job], matching: _SlotMatching) -> set[str]:
     return {ranked[r].id for r, s in enumerate(matching.slot_of) if s is not None}
 
 
+def walking_greedy_ranks(instance: Instance) -> set[int]:
+    """Ranks of the maximum-weight schedulable set, by the plain matroid
+    greedy: every rank in turn searched with ``_walk``, with no slot ever
+    proven full, no free slot taken without a search and no early stop."""
+    matching = _SlotMatching(instance)
+    for rank in range(len(instance.ids)):
+        free, reached = matching._walk(rank)
+        if free is not None:
+            matching._shift_into(free, reached)
+    return {rank for rank, slot in enumerate(matching.slot_of) if slot is not None}
+
+
 class WalkingMatching(_SlotMatching):
     """A ``_SlotMatching`` whose ``insert`` searches with the per-slot
     ``_walk``, as the series did before its layered search: the oracle for

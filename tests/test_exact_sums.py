@@ -169,11 +169,11 @@ def test_fold_cadence_leaves_every_sum_unchanged(monkeypatch):
         for pred in _predictions(rng, inst)
     ]
     by_cadence = []
-    for fold in (1, 64, 10**9):
+    for fold in (1, 16, 64, 10**9):
         monkeypatch.setattr(core, "_FOLD", fold)
         # repr tells -0.0 from 0.0: the sums must be bit-identical.
         by_cadence.append([repr(_sums(inst, pred)) for inst, pred in cases])
-    assert by_cadence[0] == by_cadence[1] == by_cadence[2]
+    assert by_cadence[0] == by_cadence[1] == by_cadence[2] == by_cadence[3]
     # Unfolded, the series' list keeps every entry: the power-law instance
     # undoes over a hundred placed weights.
     lists = []
@@ -182,7 +182,7 @@ def test_fold_cadence_leaves_every_sum_unchanged(monkeypatch):
     assert sum(w < 0 for w in lists[-1]) >= 100
 
 
-@pytest.mark.parametrize("fold", [0, 1, 64])
+@pytest.mark.parametrize("fold", [0, 1, 16, 64])
 def test_no_sum_is_negative_zero(monkeypatch, fold):
     # z, of weight zero, is placed at slot 0; at slot 1 b evicts it, so the
     # series places slot 0 again and undoes z's weight. A negated zero in a

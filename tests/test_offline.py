@@ -6,17 +6,24 @@ from pktsched import (
     GeneratorSpec,
     Instance,
     Job,
+    PerturbationSpec,
     TooLarge,
     brute_force_opt,
     canonicalize,
     generate,
     opt_schedule,
+    perturb,
     prefix_opt_series,
     schedule_weight,
     validate_schedule,
 )
 from pktsched.core import heavier_first
-from pktsched.offline import BRUTE_FORCE_MAX_HORIZON, BRUTE_FORCE_MAX_JOBS, _SlotMatching
+from pktsched.offline import (
+    BRUTE_FORCE_MAX_HORIZON,
+    BRUTE_FORCE_MAX_JOBS,
+    _optimal_ranks,
+    _SlotMatching,
+)
 from conftest import TIED_WEIGHTS, edge_shape_instances, long_instance, mk, random_instance
 from reference import (
     WalkingMatching,
@@ -25,6 +32,7 @@ from reference import (
     release_prefix,
     resolved_prefix_opt,
     selected_ids,
+    walking_greedy_ranks,
 )
 
 
@@ -391,3 +399,153 @@ def test_matching_matches_greedy_edf_oracle_past_brute_force():
             for rank in order:
                 matching.insert(rank)
             assert selected_ids(ranked, matching) == expected
+
+
+def _gapped(rng):
+    """Random jobs whose windows each lie between two holes: slots that no
+    window holds, so the jobs can never take every slot of their span."""
+    horizon = rng.randint(12, 120)
+    holes = sorted(rng.sample(range(1, horizon - 1), rng.randint(1, 4)))
+    bounds = [0] + [h for hole in holes for h in (hole, hole + 1)] + [horizon]
+    segments = [(a, b) for a, b in zip(bounds[::2], bounds[1::2]) if a < b]
+    jobs = []
+    for i in range(rng.randint(20, 300)):
+        lo, hi = rng.choice(segments)
+        r = rng.randrange(lo, hi)
+        d = rng.randint(r + 1, min(hi, r + rng.randint(1, 8)))
+        jobs.append(Job(f"j{i:03d}", r, d, rng.choice((rng.random(), 0.0, 5e-324, 0.5))))
+    return Instance.of(jobs), holes
+
+
+def test_greedy_selects_the_plain_walking_greedys_ranks_at_scale():
+    # The plain greedy searches every rank with _walk: it proves no slot
+    # full, takes no free slot without a search and never stops early.
+    rng = random.Random(157)
+    specs = [
+        GeneratorSpec("uniform", horizon=horizon, lo=2, hi=8, max_slack=10, seed=seed)
+        for horizon, seed in ((100, 1), (300, 2), (1200, 3))
+    ] + [
+        GeneratorSpec("powerlaw", horizon=horizon, a=30, m=500, max_slack=slack, seed=seed)
+        for horizon, slack, seed in ((30, 25, 4), (80, 40, 5), (150, 40, 6))
+    ]
+    sizes = []
+    for spec in specs:
+        inst = generate(spec)
+        sizes.append(len(inst.ids))
+        for case in (
+            inst,
+            perturb(inst, PerturbationSpec("deadline-shift", k=3, seed=spec.seed)),
+            perturb(inst, PerturbationSpec("weight-gauss", sigma=0.3, seed=spec.seed)),
+        ):
+            assert sorted(_optimal_ranks(case)) == sorted(walking_greedy_ranks(case))
+    assert min(sizes) >= 300 and max(sizes) >= 5000
+    for _ in range(60):
+        inst, holes = _gapped(rng)
+        ranks = _optimal_ranks(inst)
+        assert sorted(ranks) == sorted(walking_greedy_ranks(inst))
+        # Every job is held or was rejected, yet slots are left over: the
+        # stop, at one job per slot of the span, never fired.
+        _, release, deadline, _ = inst.by_rank
+        assert any(min(release) < h < max(deadline) for h in holes)
+        assert len(ranks) < max(deadline) - min(release)
+        assert not any(r <= h < d for r, d in zip(release, deadline) for h in holes)
+
+
+def _spy_on_greedy(monkeypatch):
+    """Record, for each greedy matching built, the free slots left in its
+    span [earliest release, latest deadline) at every membership test of
+    ``_full``, and for every ``_walk`` call a tuple: the free slots left
+    in the span, whether the window had a free slot, the window, and the
+    hull of the slots a failed walk reached (None for a walk that found a
+    slot). Returns the records: one dict per matching."""
+    records = []
+
+    def free_in_span(matching):
+        return matching.owner[min(matching.release):].count(None)
+
+    class FullSpy(dict):
+        def __init__(self, matching, record):
+            super().__init__()
+            self.matching, self.record = matching, record
+
+        def __contains__(self, slot):
+            self.record["checks"].append(free_in_span(self.matching))
+            return super().__contains__(slot)
+
+    original_init, original_walk = _SlotMatching.__init__, _SlotMatching._walk
+
+    def init(self, instance):
+        original_init(self, instance)
+        records.append({"checks": [], "walks": [], "matching": self})
+        self._full = FullSpy(self, records[-1])
+
+    def walk(self, rank):
+        r, d = self.release[rank], self.deadline[rank]
+        span_free, window_free = free_in_span(self), None in self.owner[r:d]
+        free, reached = original_walk(self, rank)
+        hull = None if free is not None else (min(reached), max(reached) + 1)
+        records[-1]["walks"].append((span_free, window_free, (r, d), hull))
+        return free, reached
+
+    monkeypatch.setattr(_SlotMatching, "__init__", init)
+    monkeypatch.setattr(_SlotMatching, "_walk", walk)
+    return records
+
+
+def test_greedy_stops_once_its_span_is_full(monkeypatch):
+    # Overloaded wide windows: every slot of the span ends up taken, by a
+    # rank far ahead of the last one.
+    inst = generate(
+        GeneratorSpec("powerlaw", horizon=40, a=30, m=500, max_slack=25, seed=2)
+    )
+    last_taken = max(walking_greedy_ranks(inst))
+    assert len(inst.ids) - last_taken > 200
+    records = _spy_on_greedy(monkeypatch)
+    ranks = _optimal_ranks(inst)
+    (record,) = records
+    assert record["matching"].owner[min(record["matching"].release):].count(None) == 0
+    assert max(ranks) == last_taken
+    # No rank after the one that took the last free slot reaches a search
+    # or the proven-full check.
+    span_free = [walk[0] for walk in record["walks"]]
+    assert span_free and record["checks"]
+    assert 0 not in span_free and 0 not in record["checks"]
+
+
+def test_greedy_never_walks_a_window_with_a_free_slot(monkeypatch):
+    rng = random.Random(163)
+    records = _spy_on_greedy(monkeypatch)
+    instances = [random_instance(rng, max_jobs=30, max_horizon=12) for _ in range(200)]
+    instances += [_gapped(rng)[0] for _ in range(20)]
+    instances.append(
+        generate(GeneratorSpec("powerlaw", horizon=60, a=30, m=300, max_slack=25, seed=7))
+    )
+    for inst in instances:
+        _optimal_ranks(inst)
+    had_free = [walk[1] for record in records for walk in record["walks"]]
+    # The greedy walked many windows, none of them with a free slot.
+    assert len(had_free) > 500
+    assert not any(had_free)
+
+
+def test_greedy_walks_no_window_that_a_failed_walk_proved_full(monkeypatch):
+    # A failed walk proves the slots it reached full; the greedy frees no
+    # slot, so a later window inside them is rejected without a walk.
+    rng = random.Random(167)
+    records = _spy_on_greedy(monkeypatch)
+    instances = [
+        generate(GeneratorSpec("powerlaw", horizon=40, a=30, m=500, max_slack=25, seed=seed))
+        for seed in range(3)
+    ]
+    instances += [_non_agreeable(rng, TIED_WEIGHTS) for _ in range(10)]
+    for inst in instances:
+        _optimal_ranks(inst)
+    failed = 0
+    for record in records:
+        proven = []
+        for _, _, (r, d), hull in record["walks"]:
+            assert not any(lo <= r and d <= hi for lo, hi in proven), (r, d)
+            if hull is not None:
+                proven.append(hull)
+        failed += len(proven)
+    assert failed > 30
