@@ -177,7 +177,8 @@ class Instance:
       it holds, and every schedule of the instance shares it. ``jobs``
       (in id order) and ``by_id`` hold every record; only the tests, the
       brute-force oracle and :func:`pending_set` read them. An instance
-      built from records keeps those records.
+      built from records keeps those records, put in rank order by reading
+      ``by_rank.ids`` in ``by_id``.
     """
 
     ids: tuple[str, ...]
@@ -231,8 +232,10 @@ class Instance:
             for row in zip(*columns):
                 Job(*row)
         if not all(map(lt, ids, ids[1:])):
-            rows = sorted(zip(*columns), key=itemgetter(0))
-            ids, releases, deadlines, weights = zip(*rows)
+            # One stable index sort by id, then each column gathered in that
+            # order by one itemgetter call: no per-job row is built.
+            gather = itemgetter(*sorted(range(len(ids)), key=ids.__getitem__))
+            ids, releases, deadlines, weights = map(gather, columns)
         if horizon is None:
             horizon = max(deadlines, default=0)
         instance = cls.__new__(cls)
@@ -258,12 +261,17 @@ class Instance:
     @cached_property
     def by_rank(self) -> Columns:
         """The four columns in rank order: ``by_rank.weights[rank]`` is the
-        weight of the job of that rank. One stable sort of the jobs' rows
+        weight of the job of that rank. One stable sort of the job indices
         by weight (``reverse`` keeps it stable), so equal weights stay
-        smaller id first."""
-        columns = (self.ids, self.releases, self.deadlines, self.weights)
-        rows = sorted(zip(*columns), key=itemgetter(3), reverse=True)
-        return Columns(*zip(*rows)) if rows else Columns((), (), (), ())
+        smaller id first; then each column is gathered in that order by one
+        ``itemgetter`` call. No per-job row is built: the cyclic garbage
+        collector gets four new tuples to track, not one per job."""
+        columns = Columns(self.ids, self.releases, self.deadlines, self.weights)
+        if len(self.ids) < 2:
+            # Already in rank order; itemgetter of one index returns no tuple.
+            return columns
+        order = sorted(range(len(self.ids)), key=self.weights.__getitem__, reverse=True)
+        return Columns(*map(itemgetter(*order), columns))
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -303,8 +311,8 @@ class Instance:
         jobs = self.__dict__.get("jobs")
         if jobs is None:
             return [None] * len(self.ids)
-        # The stable sort that by_rank makes, on the records.
-        return sorted(jobs, key=attrgetter("weight"), reverse=True)
+        # by_rank's order, on the records: no second sort to disagree with it.
+        return list(map(self.by_id.__getitem__, self.by_rank.ids))
 
     def record(self, rank: int) -> Job:
         """The ``Job`` record of the job of that rank, built on its first

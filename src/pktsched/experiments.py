@@ -154,8 +154,10 @@ def generate(spec: GeneratorSpec) -> Instance:
 _KEY_ALIASES = {"t": "horizon", "slack": "max_slack"}
 
 
-def _typed_field(cls, key: str, text: str) -> tuple[str, object]:
-    """Field name and value of one ``key = value`` pair for dataclass ``cls``.
+def _typed_field(hints: dict, key: str, text: str) -> tuple[str, object]:
+    """Field name and value of one ``key = value`` pair for the dataclass
+    whose field annotations are ``hints`` (its ``get_type_hints``, which a
+    parse resolves once, as each call evaluates every annotation again).
 
     Keys are case-insensitive; ``t`` and ``slack`` stand for ``horizon``
     and ``max_slack``. The value is typed by the field's annotation: int,
@@ -164,7 +166,7 @@ def _typed_field(cls, key: str, text: str) -> tuple[str, object]:
     """
     name = key.strip().lower()
     name = _KEY_ALIASES.get(name, name)
-    kind = get_type_hints(cls).get(name)
+    kind = hints.get(name)
     if kind is None:
         raise ValueError(f"unknown key {key.strip()!r}")
     try:
@@ -183,9 +185,10 @@ def parse_generator_spec(text: str, seed: Optional[int] = None) -> GeneratorSpec
     a ``seed=`` key when the ``seed`` argument is given too."""
     kind, _, rest = text.partition(":")
     fields: dict = {"kind": kind.strip()}
+    hints = get_type_hints(GeneratorSpec)
     for part in filter(None, (p.strip() for p in rest.split(","))):
         key, _, value = part.partition("=")
-        name, typed = _typed_field(GeneratorSpec, key, value)
+        name, typed = _typed_field(hints, key, value)
         if name in fields:
             raise ValueError(f"key {key.strip()!r} sets {name!r} again")
         fields[name] = typed
@@ -429,6 +432,7 @@ def parse_config_file(path: Path | str) -> ExperimentConfig:
     """
     fields: dict = {}
     first_line: dict[str, int] = {}
+    hints = get_type_hints(ExperimentConfig)
     with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.partition("#")[0].strip()
@@ -438,7 +442,7 @@ def parse_config_file(path: Path | str) -> ExperimentConfig:
             if not sep:
                 raise ParseError("expected 'key = value'", line_no)
             try:
-                name, typed = _typed_field(ExperimentConfig, key, value)
+                name, typed = _typed_field(hints, key, value)
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from exc
             if name in first_line:
@@ -622,12 +626,14 @@ def write_series_csv(records: list[ResultRecord], path: Path | str) -> None:
 
 
 def run_experiment_to_dir(config: ExperimentConfig) -> list[ResultRecord]:
-    """Run the sweep and write results.csv + series.csv to out_dir."""
+    """Run the sweep, then make out_dir and write results.csv + series.csv
+    there: a sweep that fails (an event log that cannot be read, say)
+    makes no out_dir."""
     if not config.out_dir:
         raise ValueError("config.out_dir is required")
+    records = run_experiment(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = run_experiment(config)
     trials = len({r.trial for r in records})
     meta = [
         f"dataset={config.dataset} sweep={config.sweep} trials={trials} "

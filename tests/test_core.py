@@ -24,7 +24,7 @@ from pktsched import (
     validate_schedule,
     write_instance_csv,
 )
-from pktsched.core import MAX_HORIZON
+from pktsched.core import MAX_HORIZON, heavier_first
 from pktsched.lap import LapSlot
 from conftest import mk, random_instance
 from reference import dominates, prefix_weight
@@ -268,10 +268,13 @@ def test_instance_invariants():
         Instance.of([Job("a", 0, 5, 1.0)], horizon=3)  # deadline past horizon
     # Built directly, the jobs must already be in increasing id order.
     b, a = Job("b", 0, 2, 1.0), Job("a", 0, 2, 2.0)
-    with pytest.raises(ValueError, match="not sorted by id"):
+    with pytest.raises(ValueError, match=r"^instance jobs not sorted by id \(use Instance.of\)$"):
         Instance((b, a), 2)
-    with pytest.raises(ValueError, match="duplicate job ids"):
+    with pytest.raises(ValueError, match="^duplicate job ids in instance$"):
         Instance((a, a), 2)
+    # Columns out of id order are sorted first; a duplicate id still fails.
+    with pytest.raises(ValueError, match="^duplicate job ids in instance$"):
+        Instance.from_columns(("b", "a", "b"), (0, 0, 1), (2, 2, 2), (1.0, 2.0, 3.0))
     assert Instance.of([b, a]).jobs == (a, b)
     # The horizon is bounded. Building an instance allocates no per-slot
     # table, so one at the bound is cheap, and past it nothing is built.
@@ -321,6 +324,52 @@ def test_instance_columns_records_and_value_contract():
         Instance.from_columns(("a", "a"), (0, 0), (1, 1), (1.0, 1.0))
     with pytest.raises(ValueError, match="^job 'a': deadline exceeds horizon 1$"):
         Instance.from_columns(("b", "a"), (0, 0), (2, 2), (1.0, 1.0), 1)
+
+
+RANK_CASES = {
+    "empty": [],
+    "one": [("a", 0, 1, 0.5)],
+    "two": [("a", 0, 1, 0.25), ("b", 0, 2, 0.75)],
+    "two-tied": [("b", 0, 2, 0.75), ("a", 0, 1, 0.75)],
+    "all-equal": [(f"j{i}", i % 3, 4, 0.5) for i in (4, 0, 3, 1, 2)],
+    # -0.0 is a valid weight and ties with 0.0: smaller id first.
+    "signed-zeros": [
+        ("d", 0, 2, 0.0), ("b", 0, 1, -0.0), ("e", 1, 2, 1.0), ("a", 0, 1, 0.0), ("c", 0, 2, -0.0)
+    ],
+    "mixed": [
+        ("q", 0, 3, 0.1), ("p", 1, 3, 2.0), ("z", 0, 1, 0.1), ("b", 2, 3, 2.0), ("m", 0, 2, 0.0)
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(RANK_CASES))
+def test_rank_order_contract(case):
+    # by_rank, rank_of and record(rank) are heavier_first order, whichever
+    # way the instance is built: from records, or from columns in or out
+    # of id order.
+    jobs = [Job(*row) for row in RANK_CASES[case]]
+    ranked = sorted(jobs, key=heavier_first)
+    expected = [(j.id, j.release, j.deadline, repr(j.weight)) for j in ranked]
+    columns = [tuple(getattr(j, f) for j in jobs) for f in ("id", "release", "deadline", "weight")]
+    id_ordered = [tuple(getattr(j, f) for j in sorted(jobs, key=lambda j: j.id))
+                  for f in ("id", "release", "deadline", "weight")]
+    builds = {
+        "records": Instance.of(jobs),
+        "columns-any-order": Instance.from_columns(*columns),
+        "columns-id-order": Instance.from_columns(*id_ordered),
+    }
+    for how, inst in builds.items():
+        ids, releases, deadlines, weights = inst.by_rank
+        assert list(zip(ids, releases, deadlines, map(repr, weights))) == expected, how
+        assert inst.rank_of == {j.id: rank for rank, j in enumerate(ranked)}, how
+        records = [inst.record(rank) for rank in inst.ranks]
+        assert [(j.id, j.release, j.deadline, repr(j.weight)) for j in records] == expected, how
+    # An instance built from records hands back those very records.
+    inst = builds["records"]
+    assert all(inst.record(rank) is job for rank, job in enumerate(ranked))
+    # A one-job or empty instance is its own rank order.
+    if len(jobs) < 2:
+        assert inst.by_rank == (inst.ids, inst.releases, inst.deadlines, inst.weights)
 
 
 def test_tied_weights_are_kept_as_given():

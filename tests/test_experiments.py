@@ -749,3 +749,44 @@ def test_config_file_names_missing_keys(tmp_path, text, missing):
     cfg.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"^missing required key\\(s\\): {missing}$"):
         parse_config_file(cfg)
+
+
+def test_each_parse_resolves_the_type_hints_once(tmp_path, monkeypatch):
+    # get_type_hints evaluates every annotation of the class again at each
+    # call, so a parse resolves them once, however many keys it types.
+    calls = []
+    resolve = experiments.get_type_hints
+
+    def counted(cls):
+        calls.append(cls)
+        return resolve(cls)
+
+    monkeypatch.setattr(experiments, "get_type_hints", counted)
+    spec = parse_generator_spec("uniform:T=10,lo=1,hi=3,slack=2,seed=7")
+    assert spec == GeneratorSpec("uniform", horizon=10, lo=1, hi=3, max_slack=2, seed=7)
+    assert calls == [GeneratorSpec]
+    calls.clear()
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_readme_sweep_config() + "\n", encoding="utf-8")
+    assert parse_config_file(cfg).trials == 10
+    assert calls == [ExperimentConfig]
+    # The messages are unchanged.
+    calls.clear()
+    with pytest.raises(ValueError, match="^key 'lo': invalid literal for int"):
+        parse_generator_spec("uniform:T=10,lo=x")
+    cfg.write_text("dataset = uniform\nrho = 0.1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 2: unknown key 'rho'$"):
+        parse_config_file(cfg)
+    assert calls == [GeneratorSpec, ExperimentConfig]
+
+
+def test_a_sweep_that_fails_makes_no_out_dir(tmp_path):
+    # An event-log dataset is read when the sweep runs; out_dir is made
+    # only once the sweep has its rows.
+    out = tmp_path / "out"
+    config = ExperimentConfig(
+        dataset=str(tmp_path / "missing.txt"), sweep="sigma", values=(0.0,), out_dir=str(out)
+    )
+    with pytest.raises(FileNotFoundError):
+        run_experiment_to_dir(config)
+    assert not out.exists()
