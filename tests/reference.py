@@ -1,6 +1,7 @@
 """Plain reference definitions that only the tests use."""
 
 import math
+from heapq import heappop, heappush
 from typing import Optional
 
 from pktsched import (
@@ -134,12 +135,6 @@ def mg_step(jobs: set[Job]) -> Optional[str]:
     return (earliest if earliest.weight >= heaviest.weight / PHI else heaviest).id
 
 
-def selected_ids(ranked: list[Job], matching: _SlotMatching) -> set[str]:
-    """Ids of the jobs a matching holds; ``ranked`` is its instance's jobs
-    in rank order."""
-    return {ranked[r].id for r, s in enumerate(matching.slot_of) if s is not None}
-
-
 def walking_greedy_ranks(instance: Instance) -> set[int]:
     """Ranks of the maximum-weight schedulable set, by the plain matroid
     greedy: every rank in turn searched with ``_walk``, with no slot ever
@@ -153,11 +148,24 @@ def walking_greedy_ranks(instance: Instance) -> set[int]:
 
 
 class WalkingMatching(_SlotMatching):
-    """A ``_SlotMatching`` whose ``insert`` searches with the per-slot
-    ``_walk``, as the series did before its layered search: the oracle for
-    ``insert``'s added and evicted ranks and for its ``_closed``."""
+    """A ``_SlotMatching`` with the matroid exchange step, searching with
+    the per-slot ``_walk``: the matching that :func:`walking_series`, the
+    oracle for ``prefix_opt_series``, inserts each release into.
+
+    A newcomer that cannot be added outright evicts the largest rank of
+    its circuit (the owners of the closed interval its failed search
+    reached) when that rank is larger than its own. ``_closed`` = (lo,
+    hi, last) is the interval of the latest failed search and the largest
+    rank among its owners once the insert is done; a newcomer whose
+    window lies inside it and whose rank is larger than ``last`` is
+    rejected without a search."""
+
+    def __init__(self, instance: Instance) -> None:
+        super().__init__(instance)
+        self._closed: Optional[tuple[int, int, int]] = None
 
     def insert(self, rank: int) -> tuple[bool, Optional[int]]:
+        """Add the rank, possibly evicting one; returns (added, evicted)."""
         closed = self._closed
         if (
             closed is not None
@@ -181,3 +189,58 @@ class WalkingMatching(_SlotMatching):
         self._shift_into(freed, reached)
         self._closed = (lo, hi, max(map(owner_of, reached)))
         return True, last
+
+
+def walking_series(instance: Instance) -> tuple[float, ...]:
+    """The prefix-optimum series from a matching: each slot's releases
+    inserted into one ``WalkingMatching``, and the earliest-deadline
+    placement of its jobs kept through slot t - 1, with a heap of its
+    released, unplaced jobs keyed ``deadline * n + rank``. An evicted job
+    still in the heap is dropped when it reaches the top; one that EDF had
+    placed at slot s < t has slots s..t placed again, from every selected
+    job placed there or waiting, each entering the heap at its release."""
+    weight_of = instance.by_rank.weights
+    matching = WalkingMatching(instance)
+    release, deadline, slot_of = matching.release, matching.deadline, matching.slot_of
+    placed: list[Optional[int]] = []
+    placed_at: dict[int, int] = {}
+    weights: list[float] = []
+    n = len(weight_of)
+    waiting: list[int] = []
+    values: list[float] = []
+    for t in range(instance.horizon + 1):
+        start = t
+        for rank in instance.released[t]:
+            added, evicted = matching.insert(rank)
+            if added:
+                heappush(waiting, deadline[rank] * n + rank)
+            if evicted is not None and evicted in placed_at:
+                start = min(start, placed_at[evicted])
+        replay: list[int] = []
+        if start < t:
+            undone = [r for r in placed[start:] if r is not None]
+            for r in undone:
+                del placed_at[r]
+                weights.append(-weight_of[r])
+            del placed[start:]
+            undone += [key % n for key in waiting]
+            replay = sorted(
+                (r for r in undone if slot_of[r] is not None), key=release.__getitem__
+            )
+            waiting = []
+        i = 0
+        for s in range(start, t + 1):
+            while i < len(replay) and release[replay[i]] <= s:
+                heappush(waiting, deadline[replay[i]] * n + replay[i])
+                i += 1
+            while waiting and slot_of[waiting[0] % n] is None:
+                heappop(waiting)
+            if waiting:
+                rank = heappop(waiting) % n
+                placed.append(rank)
+                placed_at[rank] = s
+                weights.append(weight_of[rank])
+            else:
+                placed.append(None)
+        values.append(math.fsum(weights) + 0.0)
+    return tuple(values)

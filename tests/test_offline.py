@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 
 import pytest
 
@@ -17,7 +18,7 @@ from pktsched import (
     schedule_weight,
     validate_schedule,
 )
-from pktsched.core import heavier_first
+from pktsched import offline
 from pktsched.offline import (
     BRUTE_FORCE_MAX_HORIZON,
     BRUTE_FORCE_MAX_JOBS,
@@ -26,13 +27,12 @@ from pktsched.offline import (
 )
 from conftest import TIED_WEIGHTS, edge_shape_instances, long_instance, mk, random_instance
 from reference import (
-    WalkingMatching,
     greedy_edf_ids,
     prefix_weight,
     release_prefix,
     resolved_prefix_opt,
-    selected_ids,
     walking_greedy_ranks,
+    walking_series,
 )
 
 
@@ -180,99 +180,102 @@ def test_prefix_series_fuzz_matches_per_prefix_resolve():
         assert prefix_opt_series(inst) == _series_by_resolve(inst)
 
 
-def test_insert_rejects_inside_last_closed_interval_without_search(monkeypatch):
+def test_series_rejects_inside_last_closed_interval_without_search(monkeypatch):
     inst = generate(
         GeneratorSpec("powerlaw", horizon=30, a=30, m=500, max_slack=25, seed=0)
     )
-    best = opt_schedule(inst).job_ids()
     searched = []
 
-    def counting(search):
-        def counted(self, rank):
-            searched.append(rank)
-            return search(self, rank)
+    def counted(*args):
+        searched.append(args)
+        return compress(*args)
 
-        return counted
-
-    # Both searches are counted, so the count holds whichever one insert
-    # calls; a search under a third name leaves it at 0 and fails below.
-    for name in ("_walk", "_grow"):
-        monkeypatch.setattr(_SlotMatching, name, counting(getattr(_SlotMatching, name)))
-    ranked = sorted(inst.jobs, key=heavier_first)
-    matching = _SlotMatching(inst)
-    for rank in sorted(range(len(ranked)), key=lambda r: (ranked[r].release, r)):
-        matching.insert(rank)
-    assert selected_ids(ranked, matching) == best
-    # 297 inserts, 108 searches: the rest are rejected by the shortcut.
-    assert 0 < len(searched) < len(inst.jobs) / 2
+    # The series looks the tight scan's compress up in offline at each call.
+    monkeypatch.setattr(offline, "compress", counted)
+    values = prefix_opt_series(inst)
+    assert values == walking_series(inst)
+    assert values[-1] == schedule_weight(opt_schedule(inst))
+    # 297 newcomers, 60 tight searches: the rest fit with no pending job
+    # at or past their deadline, or are rejected by the shortcut. Without
+    # the shortcut's refresh after an eviction it would be 69.
+    assert len(searched) == 60 < len(inst.ids) / 2
 
 
-def test_insert_in_any_order_selects_the_optimum():
-    # The series inserts in release order, where every newcomer starts at
-    # or after the remembered interval; other orders exercise its start.
-    rng = random.Random(131)
-    for inst in _series_fuzz_instances(rng):
-        ranks = list(range(len(inst.jobs)))
-        rng.shuffle(ranks)
-        ranked = sorted(inst.jobs, key=heavier_first)
-        matching = _SlotMatching(inst)
-        for rank in ranks:
-            matching.insert(rank)
-        assert selected_ids(ranked, matching) == opt_schedule(inst).job_ids()
+def _release_order_corpus(rng):
+    """The fuzz corpus, then one instance of each benchmark shape and its
+    weight-gauss perturbation."""
+    yield from _series_fuzz_instances(rng)
+    for spec in (
+        GeneratorSpec("powerlaw", horizon=150, a=30, m=500, max_slack=40, seed=1),
+        GeneratorSpec("uniform", horizon=1200, lo=2, hi=8, max_slack=10, seed=1),
+    ):
+        inst = generate(spec)
+        yield inst
+        yield perturb(inst, PerturbationSpec("weight-gauss", sigma=0.2, seed=2))
 
 
-def _occupied(matching):
-    """The number of occupied slots, once owner, slot_of, rel_at and
-    dl_at are checked to agree and every owner to sit in its window."""
-    owner, slot_of = matching.owner, matching.slot_of
-    release, deadline = matching.release, matching.deadline
-    held = [(s, r) for s, r in enumerate(owner) if r is not None]
-    assert all(slot_of[r] == s and release[r] <= s < deadline[r] for s, r in held)
-    # Each held rank points back at its slot, so equal counts leave no
-    # rank with a slot it does not own.
-    assert len(held) == len(slot_of) - slot_of.count(None)
-    assert matching.rel_at == [-1 if r is None else release[r] for r in owner]
-    assert matching.dl_at == [-1 if r is None else deadline[r] for r in owner]
-    return len(held)
-
-
-def _insert_orders(rng):
-    """(instance, ranked jobs, insert order): the fuzz corpus in release
-    order and shuffled, then one instance of each benchmark shape in
-    release order."""
-    def ranked_in_release_order(inst):
-        ranked = sorted(inst.jobs, key=heavier_first)
-        return inst, ranked, sorted(range(len(ranked)), key=lambda r: (ranked[r].release, r))
-
-    for inst in _series_fuzz_instances(rng):
-        _, ranked, order = ranked_in_release_order(inst)
-        yield inst, ranked, order
-        shuffled = order[:]
-        rng.shuffle(shuffled)
-        yield inst, ranked, shuffled
-    yield ranked_in_release_order(
-        generate(GeneratorSpec("powerlaw", horizon=150, a=30, m=500, max_slack=40, seed=1))
-    )
-    yield ranked_in_release_order(
-        generate(GeneratorSpec("uniform", horizon=1200, lo=2, hi=8, max_slack=10, seed=1))
-    )
-
-
-def test_insert_keeps_its_slot_arrays_and_matches_the_per_slot_walk():
+def test_series_matches_the_walking_series():
+    # The reference series inserts each release into a matching that
+    # searches slot by slot and shares no code with the series.
     inserts = 0
-    for inst, ranked, order in _insert_orders(random.Random(149)):
-        matching, oracle = _SlotMatching(inst), WalkingMatching(inst)
-        occupied = 0
-        for rank in order:
-            assert matching.insert(rank) == oracle.insert(rank)
-            assert matching._closed == oracle._closed
-            # An eviction refills the evicted job's slot: none is freed.
-            now = _occupied(matching)
-            assert now >= occupied
-            occupied = now
-        assert selected_ids(ranked, matching) == selected_ids(ranked, oracle)
-        inserts += len(order)
+    for inst in _release_order_corpus(random.Random(149)):
+        assert prefix_opt_series(inst) == walking_series(inst)
+        inserts += len(inst.ids)
     assert inserts > 20000
+
+
+def _all_at_zero(rng, jobs, horizon):
+    """``jobs`` jobs all released at 0, with deadlines spread over
+    1..horizon: the pending list holds every selected job at first."""
+    return Instance.of(
+        [
+            Job(f"j{i:04d}", 0, rng.randint(1, horizon), rng.choice((rng.random(), 0.5, 0.0)))
+            for i in range(jobs)
+        ]
+    )
+
+
+def test_series_with_long_pending_lists():
+    # Windows as wide as the horizon. In all but the one-job-a-slot shape
+    # hundreds to over a thousand selected jobs wait at once, so the tight
+    # scan and the circuit reach far into the pending list and evictions
+    # replay long stretches of placed slots.
+    rng = random.Random(173)
+    large = [
+        generate(GeneratorSpec("uniform", horizon=2000, lo=0, hi=3, max_slack=2000, seed=1)),
+        generate(GeneratorSpec("uniform", horizon=3000, lo=1, hi=1, max_slack=3000, seed=2)),
+        _all_at_zero(rng, 1500, 3000),
+        _all_at_zero(rng, 3000, 1000),
+    ]
+    for inst in large:
+        assert prefix_opt_series(inst) == walking_series(inst)
+    small = [
+        generate(GeneratorSpec("uniform", horizon=h, lo=0, hi=3, max_slack=h, seed=seed))
+        for seed, h in enumerate((8, 12, 20, 30))
+    ] + [_all_at_zero(rng, jobs, horizon) for jobs, horizon in ((10, 30), (30, 12), (40, 40))]
+    for inst in small:
+        assert prefix_opt_series(inst) == walking_series(inst) == _series_by_resolve(inst)
+
+
+def test_series_fills_idle_stretches_in_bulk(monkeypatch):
+    # a waits a million slots; b takes slot 0 and a slot 1. The series
+    # sums once for each of those slots and once for all the idle ones.
+    sums = []
+    monkeypatch.setattr(offline, "folded", lambda running: sums.append(1) or running)
+    inst = mk([("a", 0, 10**6, 1.0), ("b", 0, 2, 0.5)])
+    values = prefix_opt_series(inst)
+    assert len(sums) == 3
+    assert values[:2] == (0.5, 1.5) and set(values[2:]) == {1.5}
+    assert len(values) == 10**6 + 1
+    # Idle stretches before, between and after releases.
+    gaps = mk([("c", 5, 7, 2.0), ("d", 5, 6, 1.0), ("e", 40, 42, 3.0)], horizon=90)
+    sums.clear()
+    assert prefix_opt_series(gaps) == walking_series(gaps) == _series_by_resolve(gaps)
+    assert len(sums) == 6
+    rng = random.Random(179)
+    for _ in range(20):
+        inst, _ = _gapped(rng)
+        assert prefix_opt_series(inst) == walking_series(inst)
 
 
 @pytest.mark.parametrize(
@@ -390,15 +393,7 @@ def test_matching_matches_greedy_edf_oracle_past_brute_force():
         expected = greedy_edf_ids(inst)
         assert opt_schedule(inst).job_ids() == expected
         assert prefix_opt_series(inst)[-1] == schedule_weight(canonicalize(inst, expected))
-        ranked = sorted(inst.jobs, key=heavier_first)
-        in_release_order = sorted(range(len(ranked)), key=lambda r: (ranked[r].release, r))
-        shuffled = in_release_order[:]
-        rng.shuffle(shuffled)
-        for order in (in_release_order, shuffled):
-            matching = _SlotMatching(inst)
-            for rank in order:
-                matching.insert(rank)
-            assert selected_ids(ranked, matching) == expected
+        assert prefix_opt_series(inst) == walking_series(inst)
 
 
 def _gapped(rng):
