@@ -257,16 +257,18 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     rank among them is evicted if it is larger than the newcomer's, and
     otherwise the newcomer is rejected.
 
-    The stack. Placing a slot pops the entries above its job's release and
-    pushes the next slot. An idle stretch leaves only the slot after it:
-    every job pending later was released after it, so no circuit reaches
-    back across it. A pending job evicted just leaves the lists. A placed
-    one, at slot s, has slots s..t-1 placed again by EDF from the
-    circuit's other jobs there and the pending ones; the rest stay
-    pending. Slots before s keep their jobs (EDF passed the evicted job
-    over there). The entries up to m, now the earliest release placed in
-    [s, t) before the replay, are kept; those above m are worked out
-    again by the per-slot update over slots m..t-1.
+    The stack. Each placed slot pops the entries above its job's release
+    and pushes the next slot. The stack holds this for the slots before
+    ``stacked``, and a search brings it up to t before it reads it. An
+    idle stretch leaves only the slot after it: every job pending later
+    was released after it, so no circuit reaches back across it. A pending
+    job evicted just leaves the lists. A placed one, at slot s, has slots
+    s..t-1 placed again by EDF from the circuit's other jobs there and the
+    pending ones; the rest stay pending. Slots before s keep their jobs
+    (EDF passed the evicted job over there). ``stacked`` drops to r, the
+    earliest release placed in [s, t) before the replay: the pops of those
+    jobs never reached the entries up to r, and the update at slot r pops
+    every entry above it, so the next search works them out again.
 
     The shortcut. A failed search leaves (``closed_end``,
     ``closed_last``) = (b, last): its interval's end and the largest rank
@@ -292,6 +294,9 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
     rels: list[int] = []
     placed: list[Optional[int]] = []
     stack = [0]
+    # The stack is kept for slots before ``stacked`` and brought up to t
+    # only when a search reads it.
+    stacked = 0
     weights: list[float] = []
     values: list[float] = []
     closed_end, closed_last = 0, n
@@ -301,12 +306,8 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
         # No job is released in [t, now): place those slots.
         while ranks and t < now:
             placed.append(ranks.pop(0))
-            del keys[0]
-            r = rels.pop(0)
-            while stack[-1] > r:
-                stack.pop()
+            del keys[0], rels[0]
             t += 1
-            stack.append(t)
             if weight := weight_of[placed[-1]]:
                 weights.append(weight)
             values.append(math.fsum(folded(weights)))
@@ -315,7 +316,7 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
             placed += [None] * (now - t)
             values += [math.fsum(folded(weights))] * (now - t)
             stack = [now]
-            t = now
+            t = stacked = now
         if t > horizon:
             break
         for x in released_at[t]:
@@ -328,6 +329,12 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
                 b = next(compress(count(d), map(lt, keys[start:], count((d + 1) * n, n))), None)
             if b is not None:
                 i = b - t
+                for u in range(stacked, t):
+                    r = release[placed[u]]
+                    while stack[-1] > r:
+                        stack.pop()
+                    stack.append(u + 1)
+                stacked = t
                 a = stack[bisect_right(stack, min(rels[:i])) - 1]
                 held = placed[a:t]
                 top = max(ranks[:i])
@@ -363,13 +370,7 @@ def prefix_opt_series(instance: Instance) -> tuple[float, ...]:
                         weights.append(-weight)
                     if weight := weight_of[pulled]:
                         weights.append(weight)
-                    m = min(map(release.__getitem__, undone))
-                    del stack[bisect_right(stack, m):]
-                    for u in range(m, t):
-                        r = release[placed[u]]
-                        while stack[-1] > r:
-                            stack.pop()
-                        stack.append(u + 1)
+                    stacked = min(map(release.__getitem__, undone))
             key = d * n + x
             p = bisect_right(keys, key)
             keys.insert(p, key)

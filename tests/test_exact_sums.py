@@ -159,13 +159,16 @@ def _sums(inst, pred):
 
 def test_fold_cadence_leaves_every_sum_unchanged(monkeypatch):
     rng = random.Random(439)
-    replay_heavy = generate(
+    replays = generate(
         GeneratorSpec("powerlaw", horizon=100, a=30, m=300, max_slack=40, seed=1)
+    )
+    replay_heavy = generate(
+        GeneratorSpec("powerlaw", horizon=200, a=30, m=400, max_slack=100, seed=2)
     )
     instances = _long_instances(rng, 3) + list(edge_shape_instances(rng, rounds=5))
     cases = [
         (inst, pred)
-        for inst in instances + [replay_heavy]
+        for inst in instances + [replays, replay_heavy]
         for pred in _predictions(rng, inst)
     ]
     by_cadence = []
@@ -174,12 +177,13 @@ def test_fold_cadence_leaves_every_sum_unchanged(monkeypatch):
         # repr tells -0.0 from 0.0: the sums must be bit-identical.
         by_cadence.append([repr(_sums(inst, pred)) for inst, pred in cases])
     assert by_cadence[0] == by_cadence[1] == by_cadence[2] == by_cadence[3]
-    # Unfolded, the series' list keeps every entry: the power-law instance
-    # evicts over twenty placed jobs, and each one undoes its weight.
+    # Unfolded, the series' list keeps every entry: the heavier power-law
+    # instance evicts over a hundred placed jobs, and each one undoes its
+    # weight.
     lists = []
     monkeypatch.setattr(offline, "folded", lambda running: lists.append(running) or running)
     prefix_opt_series(replay_heavy)
-    assert sum(w < 0 for w in lists[-1]) >= 20
+    assert sum(w < 0 for w in lists[-1]) >= 100
 
 
 @pytest.mark.parametrize("fold", [0, 1, 16, 64])
