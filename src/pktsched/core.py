@@ -149,6 +149,13 @@ class Columns(NamedTuple):
     weights: tuple[float, ...]
 
 
+def _check_deadlines(ids: tuple[str, ...], deadlines: tuple[int, ...], horizon: int) -> None:
+    """Raise ValueError naming the first job whose deadline is past the horizon."""
+    if deadlines and max(deadlines) > horizon:
+        late = next(i for i, deadline in enumerate(deadlines) if deadline > horizon)
+        raise ValueError(f"job {ids[late]!r}: deadline exceeds horizon {horizon}")
+
+
 @dataclass(frozen=True, init=False)
 class Instance:
     """A finite job collection plus the time horizon (slots 0..horizon).
@@ -189,10 +196,15 @@ class Instance:
 
     def __init__(self, jobs: Iterable[Job], horizon: int):
         jobs = tuple(jobs)
-        columns = (
+        ids, releases, deadlines, weights = (
             tuple(map(attrgetter(name), jobs)) for name in ("id", "release", "deadline", "weight")
         )
-        self._fill(*columns, horizon)
+        if not all(map(lt, ids, ids[1:])):
+            if any(map(eq, ids, ids[1:])):
+                raise ValueError("duplicate job ids in instance")
+            raise ValueError("instance jobs not sorted by id (use Instance.of)")
+        _check_deadlines(ids, deadlines, horizon)
+        self._fill(ids, releases, deadlines, weights, horizon)
         self.__dict__["jobs"] = jobs
 
     @classmethod
@@ -236,21 +248,20 @@ class Instance:
             # order by one itemgetter call: no per-job row is built.
             gather = itemgetter(*sorted(range(len(ids)), key=ids.__getitem__))
             ids, releases, deadlines, weights = map(gather, columns)
+            # Sorted now, so a repeated id sits next to itself.
+            if any(map(eq, ids, ids[1:])):
+                raise ValueError("duplicate job ids in instance")
         if horizon is None:
             horizon = max(deadlines, default=0)
+        else:
+            _check_deadlines(ids, deadlines, horizon)
         instance = cls.__new__(cls)
         instance._fill(ids, releases, deadlines, weights, horizon)
         return instance
 
     def _fill(self, ids, releases, deadlines, weights, horizon) -> None:
-        """Check the instance's own invariants and set its fields."""
-        if not all(map(lt, ids, ids[1:])):
-            if any(map(eq, ids, ids[1:])):
-                raise ValueError("duplicate job ids in instance")
-            raise ValueError("instance jobs not sorted by id (use Instance.of)")
-        if deadlines and max(deadlines) > horizon:
-            late = next(i for i, deadline in enumerate(deadlines) if deadline > horizon)
-            raise ValueError(f"job {ids[late]!r}: deadline exceeds horizon {horizon}")
+        """Check the horizon and set the fields; the caller has checked
+        the id order and the deadlines against the horizon."""
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
         check_horizon("horizon", horizon)

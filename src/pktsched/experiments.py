@@ -22,7 +22,8 @@ import math
 import random
 import time
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, starmap
+from math import cos, log, sin, sqrt, tau
 from operator import add
 from pathlib import Path
 from typing import Optional, get_args, get_origin, get_type_hints
@@ -69,6 +70,46 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _check_ints(**values) -> None:
+    """Raise ValueError naming the first value that is not an int (a bool
+    is not one): the draws read each as a count or a bound."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``[rng.randint(lo, hi) for _ in range(count)]``, from the same draws.
+
+    randint draws ``getrandbits(width.bit_length())`` and draws again while
+    the result is >= width. Here each round draws as many values as are
+    still missing, so the last draw is the last value kept, as in randint's
+    loop, and ``rng`` is left in the state randint leaves it.
+    """
+    width = hi - lo + 1
+    bits = (width.bit_length(),)
+    kept: list[int] = []
+    while len(kept) < count:
+        kept += filter(width.__gt__, starmap(rng.getrandbits, repeat(bits, count - len(kept))))
+    return list(map(lo.__add__, kept))
+
+
+def _gausses(rng: random.Random, sigma: float, count: int) -> list[float]:
+    """``[rng.gauss(0.0, sigma) for _ in range(count)]`` on a fresh ``rng``,
+    operation for operation: gauss's Box-Muller pair, cosine value first,
+    each value ``mu + z * sigma`` with mu 0.0 (which turns a -0.0 into 0.0).
+    The sine value of an odd count's last pair is not kept."""
+    uniform = rng.random
+    out: list[float] = []
+    for _ in range((count + 1) // 2):
+        angle = uniform() * tau
+        radius = sqrt(-2.0 * log(1.0 - uniform()))
+        out.append(0.0 + cos(angle) * radius * sigma)
+        out.append(0.0 + sin(angle) * radius * sigma)
+    del out[count:]
+    return out
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Synthetic-instance recipe.
@@ -82,7 +123,8 @@ class GeneratorSpec:
     slack in [1, max_slack], forced nondecreasing. ``horizon + max_slack``,
     the largest deadline it can draw, is at most ``core.MAX_HORIZON``, and
     the most jobs it can draw (``horizon * hi``, or ``horizon * m`` for the
-    power law) at most ``core.MAX_GENERATED_JOBS``.
+    power law) at most ``core.MAX_GENERATED_JOBS``. ``horizon``, ``lo``,
+    ``hi`` and ``max_slack`` are ints (a bool is not one).
     """
 
     kind: str
@@ -97,6 +139,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "powerlaw"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        _check_ints(horizon=self.horizon, lo=self.lo, hi=self.hi, max_slack=self.max_slack)
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not 0 <= self.lo <= self.hi:
@@ -125,7 +168,15 @@ def _agreeable_instance(
     then its weight; running-max deadlines keep the instance agreeable
     under generation order."""
     n = sum(counts)
-    draws = [(rng.randint(1, max_slack), rng.random()) for _ in range(n)]
+    getrandbits, uniform = rng.getrandbits, rng.random
+    bits = max_slack.bit_length()
+    draws = []
+    for _ in range(n):
+        # rng.randint(1, max_slack), without its three Python frames.
+        slack = getrandbits(bits)
+        while slack >= max_slack:
+            slack = getrandbits(bits)
+        draws.append((1 + slack, uniform()))
     slacks, randoms = zip(*draws) if draws else ((), ())
     releases = tuple(chain.from_iterable(repeat(t, count) for t, count in enumerate(counts, 1)))
     return Instance.from_columns(
@@ -142,7 +193,7 @@ def generate(spec: GeneratorSpec) -> Instance:
     job's slack and weight."""
     rng = random.Random(spec.seed)
     if spec.kind == "uniform":
-        counts = [rng.randint(spec.lo, spec.hi) for _ in range(spec.horizon)]
+        counts = _randints(rng, spec.lo, spec.hi, spec.horizon)
     else:
         counts = [
             max(0, round(spec.m * (1.0 - rng.random() ** (1.0 / spec.a))))
@@ -205,8 +256,8 @@ class PerturbationSpec:
 
     ``weight-gauss`` adds N(0, sigma) noise to every weight (clamped to a
     tiny positive floor); ``deadline-shift`` adds a uniform integer in
-    [-k, k] to every deadline (clamped to release + 1). Identities,
-    releases, and the untouched attribute are preserved.
+    [-k, k] to every deadline (clamped to release + 1); ``k`` is an int.
+    Identities, releases, and the untouched attribute are preserved.
     """
 
     kind: str
@@ -219,6 +270,7 @@ class PerturbationSpec:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        _check_ints(k=self.k)
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k!r}")
 
@@ -233,12 +285,12 @@ def perturb(instance: Instance, spec: PerturbationSpec) -> Instance:
     if spec.kind == "weight-gauss":
         if spec.sigma == 0:
             return instance
-        noise = [rng.gauss(0.0, spec.sigma) for _ in weights]
+        noise = _gausses(rng, spec.sigma, len(weights))
         noisy = map(max, map(add, weights, noise), repeat(WEIGHT_FLOOR))
         return Instance.from_columns(ids, releases, deadlines, noisy, instance.horizon)
     if spec.k == 0:
         return instance
-    shifts = [rng.randint(-spec.k, spec.k) for _ in deadlines]
+    shifts = _randints(rng, -spec.k, spec.k, len(deadlines))
     shifted = map(max, map((1).__add__, releases), map(add, deadlines, shifts))
     return Instance.from_columns(ids, releases, shifted, weights)
 
@@ -246,6 +298,7 @@ def perturb(instance: Instance, spec: PerturbationSpec) -> Instance:
 def _check_ingest_arguments(slots_per_day: int, max_slack: int, ts_col: int) -> None:
     """The checks of the :func:`ingest_snap_events` arguments that an
     event-log :class:`ExperimentConfig` sets too; raise ValueError."""
+    _check_ints(slots_per_day=slots_per_day, max_slack=max_slack, ts_col=ts_col)
     if slots_per_day < 1:
         raise ValueError(f"slots_per_day must be >= 1, got {slots_per_day!r}")
     if max_slack < 1:
@@ -270,8 +323,9 @@ def ingest_snap_events(
     one instance each: timestamps are quantized linearly into release
     slots 1..slots_per_day and weights/deadlines are synthesized with the
     per-day-seeded agreeable models. Raises ValueError, before the file
-    is read, unless slots_per_day >= 1, the band's lo <= hi, max_slack >= 1,
-    ts_col >= 0 and slots_per_day + max_slack <= ``core.MAX_HORIZON``.
+    is read, unless slots_per_day, max_slack and ts_col are ints,
+    slots_per_day >= 1, the band's lo <= hi, max_slack >= 1, ts_col >= 0
+    and slots_per_day + max_slack <= ``core.MAX_HORIZON``.
     """
     lo, hi = band
     _check_ingest_arguments(slots_per_day, max_slack, ts_col)

@@ -1,15 +1,20 @@
 """Plain reference definitions that only the tests use."""
 
 import math
+import random
 from heapq import heappop, heappush
+from itertools import accumulate, chain, repeat
+from operator import add
 from typing import Optional
 
 from pktsched import (
     PHI,
+    GeneratorSpec,
     InfeasibleSelection,
     Instance,
     Job,
     LapTrace,
+    PerturbationSpec,
     Schedule,
     apply_choices,
     build_choices,
@@ -19,6 +24,7 @@ from pktsched import (
     prefix_opt_series,
 )
 from pktsched.core import edf_first, feasible_at, heavier_first
+from pktsched.experiments import WEIGHT_FLOOR
 from pktsched.offline import _SlotMatching
 
 
@@ -244,3 +250,48 @@ def walking_series(instance: Instance) -> tuple[float, ...]:
                 placed.append(None)
         values.append(math.fsum(weights) + 0.0)
     return tuple(values)
+
+
+# Seeded draws by one stdlib call each: the oracle for experiments'
+# bulk draws, which must take the same values from the same draws.
+
+
+def generate_by_stdlib(spec: GeneratorSpec) -> Instance:
+    """``experiments.generate``, each count and slack one ``rng.randint``."""
+    rng = random.Random(spec.seed)
+    if spec.kind == "uniform":
+        counts = [rng.randint(spec.lo, spec.hi) for _ in range(spec.horizon)]
+    else:
+        counts = [
+            max(0, round(spec.m * (1.0 - rng.random() ** (1.0 / spec.a))))
+            for _ in range(spec.horizon)
+        ]
+    n = sum(counts)
+    draws = [(rng.randint(1, spec.max_slack), rng.random()) for _ in range(n)]
+    slacks, randoms = zip(*draws) if draws else ((), ())
+    releases = tuple(chain.from_iterable(repeat(t, count) for t, count in enumerate(counts, 1)))
+    return Instance.from_columns(
+        [f"j{i:05d}" for i in range(n)],
+        releases,
+        accumulate(map(add, releases, slacks), max),
+        map((1.0).__sub__, randoms),
+    )
+
+
+def perturb_by_stdlib(instance: Instance, spec: PerturbationSpec) -> Instance:
+    """``experiments.perturb``, each noise term one ``rng.gauss`` and each
+    shift one ``rng.randint``."""
+    rng = random.Random(spec.seed)
+    ids, releases = instance.ids, instance.releases
+    deadlines, weights = instance.deadlines, instance.weights
+    if spec.kind == "weight-gauss":
+        if spec.sigma == 0:
+            return instance
+        noise = [rng.gauss(0.0, spec.sigma) for _ in weights]
+        noisy = map(max, map(add, weights, noise), repeat(WEIGHT_FLOOR))
+        return Instance.from_columns(ids, releases, deadlines, noisy, instance.horizon)
+    if spec.k == 0:
+        return instance
+    shifts = [rng.randint(-spec.k, spec.k) for _ in deadlines]
+    shifted = map(max, map((1).__add__, releases), map(add, deadlines, shifts))
+    return Instance.from_columns(ids, releases, shifted, weights)
