@@ -285,8 +285,12 @@ def test_ingest_errors(tmp_path):
      ({"slots_per_day": -3}, "slots_per_day must be >= 1, got -3"),
      ({"band": (500, 300)}, r"band must have lo <= hi, got \(500, 300\)"),
      ({"ts_col": -3}, "ts_col must be >= 0, got -3"),
-     ({"max_slack": 0}, "max_slack must be >= 1, got 0")],
-    ids=["slots-zero", "slots-negative", "band-reversed", "ts-col-negative", "slack-zero"],
+     ({"max_slack": 0}, "max_slack must be >= 1, got 0"),
+     ({"slots_per_day": 75.0}, "slots_per_day must be an int, got 75.0"),
+     ({"max_slack": 2.0}, "max_slack must be an int, got 2.0"),
+     ({"ts_col": True}, "ts_col must be an int, got True")],
+    ids=["slots-zero", "slots-negative", "band-reversed", "ts-col-negative", "slack-zero",
+         "slots-float", "slack-float", "ts-col-bool"],
 )
 def test_ingest_rejects_bad_arguments_before_reading(tmp_path, kwargs, message):
     # The file does not exist: an argument checked after the read would
