@@ -235,6 +235,11 @@ class Instance:
         ids, releases, deadlines, weights = columns = tuple(
             map(tuple, (ids, releases, deadlines, weights))
         )
+        if not len(ids) == len(releases) == len(deadlines) == len(weights):
+            raise ValueError(
+                f"columns differ in length: {len(ids)} ids, {len(releases)} releases, "
+                f"{len(deadlines)} deadlines, {len(weights)} weights"
+            )
         if not (
             min(releases, default=0) >= 0
             and all(map(lt, releases, deadlines))

@@ -441,6 +441,7 @@ class ExperimentConfig:
             if not 0 <= value < math.inf:
                 raise ValueError(f"values must be finite and >= 0, got {value!r}")
         if self.dataset in ("uniform", "powerlaw"):
+            _check_ints(trials=self.trials)
             if self.trials < 1:
                 raise ValueError(f"trials must be >= 1, got {self.trials!r}")
             self.generator_spec(self.seed)  # checks the generator fields

@@ -6,12 +6,13 @@ with an augmenting-path feasibility check yields the exact maximum-weight
 schedule. A memoized exhaustive search over slot assignments serves as an
 independent oracle for small instances.
 
-The greedy (``_optimal_ranks``) is the only user of the slot matching.
-Windows are intervals of slots, so its augmenting search is iterative and
-walks one slot at a time (``_SlotMatching._walk``). A failed search ends
-on a closed interval: every slot in it is taken by a job whose window
-lies inside it. The greedy frees no slot, so no later augmenting path can
-end there, and it skips those slots from then on. It searches only when
+The greedy (``_optimal_ranks``) keeps its matching in plain lists: the
+rank in each slot, and a map of the slots proven full. Windows are
+intervals of slots, so its augmenting search is iterative and walks one
+slot at a time (``_walk``). A failed search ends on a closed interval:
+every slot in it is taken by a job whose window lies inside it. The
+greedy frees no slot, so no later augmenting path can end there, and it
+skips those slots from then on (``_next_open``). It searches only when
 it must: a window with a free slot takes the first one outright, and once
 the jobs taken hold every slot from the earliest release to the latest
 deadline, no later job can fit and it stops.
@@ -57,123 +58,92 @@ class TooLarge(ValueError):
     """Instance exceeds the brute-force enumeration guard."""
 
 
-class _SlotMatching:
-    """Jobs matched onto unit slots by iterative augmenting-path search,
-    for the greedy matroid step of ``_optimal_ranks``.
+def _next_open(full: dict[int, int], s: int) -> int:
+    """Smallest slot >= s not proven full (compresses the jump chain):
+    ``full[s]`` is a later slot e with every slot of [s, e) proven full."""
+    path = []
+    while s in full:
+        path.append(s)
+        s = full[s]
+    for p in path:
+        full[p] = s
+    return s
 
-    Built on an instance's jobs in rank order (``heavier_first``); every
-    method takes and returns ranks, and a smaller rank comes first. The
-    search (``_walk``) grows an interval [lo, hi) of slots from the job's
-    window, one slot at a time: the owner of each occupied slot reached
-    extends it to cover the owner's window, and a free slot ends it with
-    an augmenting path, which ``_shift_into`` moves the jobs along. A
-    failed search ends on a closed interval, which ``_full`` records as
-    proven full: without evictions no slot there is ever freed.
+
+def _walk(
+    owner: list[Optional[int]], release: tuple[int, ...], deadline: tuple[int, ...],
+    full: dict[int, int], rank: int,
+) -> tuple[Optional[int], dict[int, Optional[int]]]:
+    """Alternating search from the rank's window, one slot at a time.
+
+    The interval [lo, hi) grows from the window: the owner of each held
+    slot reached widens it to the owner's window. The stack holds the
+    extensions not yet scanned, each with the slot of the job whose window
+    it is (None for the searching rank), so each slot is reached at most
+    once. Slots proven full are skipped. Returns the free slot found (None
+    if none) and each slot reached, mapped to the slot of the job that
+    reached it: from the free slot, the augmenting path back. A failed
+    search leaves [lo, hi) closed, each slot reached and held or skipped
+    as proven full, so it marks the slots reached full up to hi.
     """
-
-    def __init__(self, instance: Instance) -> None:
-        # release[r], deadline[r] = the window of rank r; read-only.
-        _, self.release, self.deadline, _ = instance.by_rank
-        horizon = max(self.deadline, default=0)
-        # owner[s] = rank of the job in slot s; slot_of[r] = slot of rank r.
-        self.owner: list[Optional[int]] = [None] * horizon
-        self.slot_of: list[Optional[int]] = [None] * len(self.release)
-        # _full[s] = a later slot e with every slot in [s, e) proven full.
-        self._full: dict[int, int] = {}
-
-    def _next_open(self, s: int) -> int:
-        """Smallest slot >= s not proven full (compresses the jump chain)."""
-        full = self._full
-        path = []
-        while s in full:
-            path.append(s)
-            s = full[s]
-        for p in path:
-            full[p] = s
-        return s
-
-    def _walk(self, rank: int) -> tuple[Optional[int], dict[int, int]]:
-        """Alternating search from the job's window, one slot at a time.
-
-        Returns the free slot found (None when there is none) and the
-        slots reached, each mapped to the rank that reached it. The stack
-        holds the extensions not yet scanned, so each slot is reached at
-        most once. Slots proven full are skipped.
-        """
-        owner = self.owner
-        release = self.release
-        deadline = self.deadline
-        full = self._full
-        reached: dict[int, int] = {}
-        lo, hi = release[rank], deadline[rank]
-        stack = [(lo, hi, rank)]
-        while stack:
-            s, end, j = stack.pop()
-            while s < end:
-                if s in full:
-                    s = self._next_open(s)
-                    continue
-                reached[s] = j
-                holder = owner[s]
-                if holder is None:
-                    return s, reached
-                if release[holder] < lo:
-                    stack.append((release[holder], lo, holder))
-                    lo = release[holder]
-                if deadline[holder] > hi:
-                    stack.append((hi, deadline[holder], holder))
-                    hi = deadline[holder]
-                s += 1
-        return None, reached
-
-    def _shift_into(self, s: Optional[int], reached: dict[int, int]) -> None:
-        """Move each job on a recorded path one step along: reached[s]
-        takes slot s, the rank that reached its old slot takes that, and
-        so on back to the searching job, which held no slot."""
-        owner = self.owner
-        slot_of = self.slot_of
-        while s is not None:
-            j = reached[s]
-            prev = slot_of[j]
-            owner[s] = j
-            slot_of[j] = s
-            s = prev
+    reached: dict[int, Optional[int]] = {}
+    lo, hi = release[rank], deadline[rank]
+    stack: list[tuple[int, int, Optional[int]]] = [(lo, hi, None)]
+    while stack:
+        s, end, via = stack.pop()
+        while s < end:
+            if s in full:
+                s = _next_open(full, s)
+                continue
+            reached[s] = via
+            holder = owner[s]
+            if holder is None:
+                return s, reached
+            if release[holder] < lo:
+                stack.append((release[holder], lo, s))
+                lo = release[holder]
+            if deadline[holder] > hi:
+                stack.append((hi, deadline[holder], s))
+                hi = deadline[holder]
+            s += 1
+    for s in reached:
+        full[s] = hi
+    return None, reached
 
 
 def _optimal_ranks(instance: Instance) -> list[int]:
     """The ranks of a maximum-weight schedulable set of the instance's jobs,
     in slot order: the matroid greedy, each rank in turn.
 
-    A rank whose window ``_full`` proves full is rejected without a search.
-    A window with a free slot takes its first one: the slot ``_walk`` would
-    end on, as its first range is the window, scanned left to right, and
-    the greedy never frees a slot, so no free slot is in ``_full``. Only a
-    window with every slot taken is walked. Each job taken holds its own
-    slot of [earliest release, latest deadline), so once that many are
-    taken no later search can end on a free slot, and the greedy stops.
+    ``owner[s]`` is the rank in slot s. A rank whose window ``full``
+    proves full is rejected without a search. A window with a free slot
+    takes its first one: the slot ``_walk`` would end on, as it scans the
+    window first, left to right, and no free slot is proven full. Only a
+    window with every slot taken is walked, and each job on the path found
+    moves into the slot it reached. Each job taken holds its own slot of
+    [earliest release, latest deadline), so once that many are taken no
+    later search can end on a free slot, and the greedy stops.
     """
-    matching = _SlotMatching(instance)
-    release, deadline = matching.release, matching.deadline
-    owner, slot_of, full = matching.owner, matching.slot_of, matching._full
-    room = max(deadline, default=0) - min(release, default=0)
+    _, release, deadline, _ = instance.by_rank
+    owner: list[Optional[int]] = [None] * max(deadline, default=0)
+    full: dict[int, int] = {}
+    room = len(owner) - min(release, default=0)
     taken = 0
     for rank, (r, d) in enumerate(zip(release, deadline)):
         if taken == room:
             break
-        if r in full and matching._next_open(r) >= d:
+        if r in full and _next_open(full, r) >= d:
             continue
         if None in owner[r:d]:
-            s = owner.index(None, r, d)
-            owner[s] = rank
-            slot_of[rank] = s
+            owner[owner.index(None, r, d)] = rank
         else:
-            free, reached = matching._walk(rank)
-            if free is None:
-                end = max(map(deadline.__getitem__, reached.values()))
-                for s in reached:
-                    full[s] = end
+            s, reached = _walk(owner, release, deadline, full, rank)
+            if s is None:
                 continue
-            matching._shift_into(free, reached)
+            while (prev := reached[s]) is not None:
+                owner[s] = owner[prev]
+                s = prev
+            owner[s] = rank
         taken += 1
     return [rank for rank in owner if rank is not None]
 

@@ -198,8 +198,9 @@ class OnlineStepPolicy:
         if self.name not in _STEPS:
             raise ValueError(f"unknown policy {self.name!r}")
         if self.name == "edf-alpha":
-            if self.alpha is None or not 0 < self.alpha <= 1:
-                raise ValueError("edf-alpha requires alpha in (0, 1]")
+            # A bool is an int, and True would pass as 1.
+            if self.alpha is None or isinstance(self.alpha, bool) or not 0 < self.alpha <= 1:
+                raise ValueError(f"edf-alpha requires alpha in (0, 1], got {self.alpha!r}")
         elif self.alpha is not None:
             raise ValueError(f"policy {self.name!r} takes no alpha")
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import deque
 from heapq import heappop, heappush
 from itertools import accumulate, chain, repeat
 from operator import add
@@ -10,7 +11,6 @@ from typing import Optional
 from pktsched import (
     PHI,
     GeneratorSpec,
-    InfeasibleSelection,
     Instance,
     Job,
     LapTrace,
@@ -18,14 +18,12 @@ from pktsched import (
     Schedule,
     apply_choices,
     build_choices,
-    canonicalize,
     local_test,
     opt_schedule,
     prefix_opt_series,
 )
 from pktsched.core import edf_first, feasible_at, heavier_first
 from pktsched.experiments import WEIGHT_FLOOR
-from pktsched.offline import _SlotMatching
 
 
 def dominates(j: Job, j2: Job) -> bool:
@@ -45,18 +43,37 @@ def processed_ids(trace: LapTrace) -> set[str]:
     return {r.job_id for r in trace.rows if r.job_id is not None}
 
 
-def greedy_edf_ids(instance: Instance) -> set[str]:
-    """Ids of the maximum-weight schedulable set, by the matroid greedy
-    with ``canonicalize`` as the feasibility test: jobs in
-    ``heavier_first`` order, each kept iff the kept set still places."""
-    kept: set[str] = set()
-    for job in sorted(instance.jobs, key=heavier_first):
-        try:
-            canonicalize(instance, kept | {job.id})
-        except InfeasibleSelection:
-            continue
-        kept.add(job.id)
-    return kept
+def edf_feasible(windows) -> bool:
+    """Jackson's rule: unit jobs with (release, deadline) windows fit into
+    slots iff earliest-deadline-first, run at each slot on the released
+    jobs, never pops a deadline at or before the slot (Horn, 1974)."""
+    todo = sorted(windows, reverse=True)
+    deadlines: list[int] = []
+    t = 0
+    while todo or deadlines:
+        if not deadlines:
+            t = max(t, todo[-1][0])
+        while todo and todo[-1][0] <= t:
+            heappush(deadlines, todo.pop()[1])
+        if heappop(deadlines) <= t:
+            return False
+        t += 1
+    return True
+
+
+def greedy_ranks_by_edf(instance: Instance) -> set[int]:
+    """Ranks of the maximum-weight schedulable set, by the matroid greedy
+    with :func:`edf_feasible` as the feasibility test: jobs in
+    ``heavier_first`` order, each kept iff the kept windows still fit. A
+    job's rank is its place in that order."""
+    kept: list[tuple[int, int]] = []
+    ranks = set()
+    for rank, job in enumerate(sorted(instance.jobs, key=heavier_first)):
+        window = (job.release, job.deadline)
+        if edf_feasible(kept + [window]):
+            kept.append(window)
+            ranks.add(rank)
+    return ranks
 
 
 def prefix_weight(schedule: Schedule, t: int) -> float:
@@ -141,34 +158,60 @@ def mg_step(jobs: set[Job]) -> Optional[str]:
     return (earliest if earliest.weight >= heaviest.weight / PHI else heaviest).id
 
 
-def walking_greedy_ranks(instance: Instance) -> set[int]:
-    """Ranks of the maximum-weight schedulable set, by the plain matroid
-    greedy: every rank in turn searched with ``_walk``, with no slot ever
-    proven full, no free slot taken without a search and no early stop."""
-    matching = _SlotMatching(instance)
-    for rank in range(len(instance.ids)):
-        free, reached = matching._walk(rank)
-        if free is not None:
-            matching._shift_into(free, reached)
-    return {rank for rank, slot in enumerate(matching.slot_of) if slot is not None}
+class WalkingMatching:
+    """Jobs matched onto unit slots, each job a rank (its index in
+    ``Instance.by_rank``), with the matroid exchange step: the matching
+    that :func:`walking_series`, the oracle for ``prefix_opt_series``,
+    inserts each release into, and :func:`walking_selection` every job.
 
-
-class WalkingMatching(_SlotMatching):
-    """A ``_SlotMatching`` with the matroid exchange step, searching with
-    the per-slot ``_walk``: the matching that :func:`walking_series`, the
-    oracle for ``prefix_opt_series``, inserts each release into.
-
-    A newcomer that cannot be added outright evicts the largest rank of
-    its circuit (the owners of the closed interval its failed search
-    reached) when that rank is larger than its own. ``_closed`` = (lo,
-    hi, last) is the interval of the latest failed search and the largest
-    rank among its owners once the insert is done; a newcomer whose
-    window lies inside it and whose rank is larger than ``last`` is
-    rejected without a search."""
+    The search is a plain augmenting search. It grows an interval of slots
+    from the newcomer's window, breadth first: each held slot reached
+    widens it to its holder's window, and a free slot ends it. A newcomer
+    that cannot be added outright evicts the largest rank of its circuit
+    (the holders of the closed interval its failed search reached) when
+    that rank is larger than its own. ``_closed`` = (lo, hi, last) is the
+    interval of the latest failed search and the largest rank held in it
+    once the insert is done; a newcomer whose window lies inside it and
+    whose rank is larger than ``last`` is rejected without a search."""
 
     def __init__(self, instance: Instance) -> None:
-        super().__init__(instance)
+        _, self.release, self.deadline, _ = instance.by_rank
+        self.owner: list[Optional[int]] = [None] * instance.horizon
+        self.slot_of: list[Optional[int]] = [None] * len(self.release)
         self._closed: Optional[tuple[int, int, int]] = None
+
+    def _search(self, rank: int) -> tuple[Optional[int], dict[int, int]]:
+        """The free slot the search ends on (None if none) and each slot
+        reached, mapped to the rank whose window reached it."""
+        release, deadline, owner = self.release, self.deadline, self.owner
+        by: dict[int, int] = {}
+        lo, hi = release[rank], deadline[rank]
+        queue = deque([(rank, lo, hi)])
+        while queue:
+            job, first, end = queue.popleft()
+            for s in range(first, end):
+                by[s] = job
+                holder = owner[s]
+                if holder is None:
+                    return s, by
+                if release[holder] < lo:
+                    queue.append((holder, release[holder], lo))
+                    lo = release[holder]
+                if deadline[holder] > hi:
+                    queue.append((holder, hi, deadline[holder]))
+                    hi = deadline[holder]
+        return None, by
+
+    def _move(self, s: int, by: dict[int, int]) -> None:
+        """Move the jobs of the path that ends on slot s: the rank that
+        reached each slot of it takes it."""
+        path = [s]
+        while self.slot_of[by[path[-1]]] is not None:
+            path.append(self.slot_of[by[path[-1]]])
+        for slot in path:
+            job = by[slot]
+            self.owner[slot] = job
+            self.slot_of[job] = slot
 
     def insert(self, rank: int) -> tuple[bool, Optional[int]]:
         """Add the rank, possibly evicting one; returns (added, evicted)."""
@@ -180,21 +223,31 @@ class WalkingMatching(_SlotMatching):
             and closed[2] < rank
         ):
             return False, None
-        free, reached = self._walk(rank)
+        free, by = self._search(rank)
         if free is not None:
-            self._shift_into(free, reached)
+            self._move(free, by)
             return True, None
         owner_of = self.owner.__getitem__
-        lo, hi = min(reached), max(reached) + 1
-        last = max(map(owner_of, reached))
+        lo, hi = min(by), max(by) + 1
+        last = max(map(owner_of, by))
         if last < rank:
             self._closed = (lo, hi, last)
             return False, None
         freed = self.slot_of[last]
         self.slot_of[last] = None
-        self._shift_into(freed, reached)
-        self._closed = (lo, hi, max(map(owner_of, reached)))
+        self._move(freed, by)
+        self._closed = (lo, hi, max(map(owner_of, by)))
         return True, last
+
+
+def walking_selection(instance: Instance) -> set[int]:
+    """Ranks of the maximum-weight schedulable set: every job inserted
+    into one :class:`WalkingMatching`, in release order."""
+    matching = WalkingMatching(instance)
+    for ranks in instance.released:
+        for rank in ranks:
+            matching.insert(rank)
+    return {rank for rank, slot in enumerate(matching.slot_of) if slot is not None}
 
 
 def walking_series(instance: Instance) -> tuple[float, ...]:

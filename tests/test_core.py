@@ -324,6 +324,12 @@ def test_instance_columns_records_and_value_contract():
         Instance.from_columns(("a", "a"), (0, 0), (1, 1), (1.0, 1.0))
     with pytest.raises(ValueError, match="^job 'a': deadline exceeds horizon 1$"):
         Instance.from_columns(("b", "a"), (0, 0), (2, 2), (1.0, 1.0), 1)
+    # Columns of unequal length are rejected, not zipped short.
+    lengths = r"^columns differ in length: 2 ids, 1 releases, 1 deadlines, 1 weights$"
+    with pytest.raises(ValueError, match=lengths):
+        Instance.from_columns(["a", "b"], [0], [2], [1.0])
+    with pytest.raises(ValueError, match="2 ids, 2 releases, 2 deadlines, 3 weights"):
+        Instance.from_columns(("a", "b"), (0, 0), (1, 2), (1.0, 2.0, 3.0))
 
 
 RANK_CASES = {

@@ -631,6 +631,10 @@ def test_config_validation():
     for trials in (0, -2):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             _tiny_config(trials=trials)
+    # A float or bool count is rejected by name, not left to range().
+    for trials in (2.0, True, 2.5):
+        with pytest.raises(ValueError, match=rf"^trials must be an int, got {trials!r}$"):
+            _tiny_config(trials=trials)
     # A generated dataset's generator fields are checked as GeneratorSpec
     # checks them; an event log does not read them.
     for fields, message in (

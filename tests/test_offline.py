@@ -23,15 +23,14 @@ from pktsched.offline import (
     BRUTE_FORCE_MAX_HORIZON,
     BRUTE_FORCE_MAX_JOBS,
     _optimal_ranks,
-    _SlotMatching,
 )
 from conftest import TIED_WEIGHTS, edge_shape_instances, long_instance, mk, random_instance
 from reference import (
-    greedy_edf_ids,
+    greedy_ranks_by_edf,
     prefix_weight,
     release_prefix,
     resolved_prefix_opt,
-    walking_greedy_ranks,
+    walking_selection,
     walking_series,
 )
 
@@ -357,6 +356,11 @@ def test_long_augmenting_chain():
     assert prefix_opt_series(inst)[-1] == 4502.001
 
 
+def _ids(instance, ranks):
+    """The ids of the jobs of the given ranks."""
+    return {instance.by_rank.ids[rank] for rank in ranks}
+
+
 def test_opt_matches_matroid_greedy_on_overloaded_wide_windows():
     # Hundreds of jobs with windows up to 25 slots wide, most rejected:
     # far beyond brute force, and the shape where a failed search proves
@@ -368,7 +372,7 @@ def test_opt_matches_matroid_greedy_on_overloaded_wide_windows():
         opt = opt_schedule(inst)
         assert len(inst.jobs) >= 250
         assert len(opt.job_ids()) < len(inst.jobs) / 4
-        assert opt.job_ids() == greedy_edf_ids(inst)
+        assert opt.job_ids() == _ids(inst, greedy_ranks_by_edf(inst))
         assert prefix_opt_series(inst)[-1] == schedule_weight(opt)
 
 
@@ -390,7 +394,7 @@ def test_matching_matches_greedy_edf_oracle_past_brute_force():
     rng = random.Random(139)
     for k in range(30):
         inst = _non_agreeable(rng, TIED_WEIGHTS if k % 3 else TIED_WEIGHTS + (0.75, 2.0))
-        expected = greedy_edf_ids(inst)
+        expected = _ids(inst, greedy_ranks_by_edf(inst))
         assert opt_schedule(inst).job_ids() == expected
         assert prefix_opt_series(inst)[-1] == schedule_weight(canonicalize(inst, expected))
         assert prefix_opt_series(inst) == walking_series(inst)
@@ -412,9 +416,11 @@ def _gapped(rng):
     return Instance.of(jobs), holes
 
 
-def test_greedy_selects_the_plain_walking_greedys_ranks_at_scale():
-    # The plain greedy searches every rank with _walk: it proves no slot
-    # full, takes no free slot without a search and never stops early.
+def test_greedy_selects_the_independent_oracles_ranks_at_scale():
+    # Two oracles that share no code with the greedy, neither with a
+    # shortcut of its own: the matroid greedy over Jackson's rule, up to
+    # a few thousand jobs, and past that the selection of the plain
+    # matching that inserts every job in release order, with evictions.
     rng = random.Random(157)
     specs = [
         GeneratorSpec("uniform", horizon=horizon, lo=2, hi=8, max_slack=10, seed=seed)
@@ -427,17 +433,18 @@ def test_greedy_selects_the_plain_walking_greedys_ranks_at_scale():
     for spec in specs:
         inst = generate(spec)
         sizes.append(len(inst.ids))
+        oracle = greedy_ranks_by_edf if len(inst.ids) < 5000 else walking_selection
         for case in (
             inst,
             perturb(inst, PerturbationSpec("deadline-shift", k=3, seed=spec.seed)),
             perturb(inst, PerturbationSpec("weight-gauss", sigma=0.3, seed=spec.seed)),
         ):
-            assert sorted(_optimal_ranks(case)) == sorted(walking_greedy_ranks(case))
+            assert sorted(_optimal_ranks(case)) == sorted(oracle(case))
     assert min(sizes) >= 300 and max(sizes) >= 5000
     for _ in range(60):
         inst, holes = _gapped(rng)
         ranks = _optimal_ranks(inst)
-        assert sorted(ranks) == sorted(walking_greedy_ranks(inst))
+        assert sorted(ranks) == sorted(greedy_ranks_by_edf(inst))
         # Every job is held or was rejected, yet slots are left over: the
         # stop, at one job per slot of the span, never fired.
         _, release, deadline, _ = inst.by_rank
@@ -447,43 +454,46 @@ def test_greedy_selects_the_plain_walking_greedys_ranks_at_scale():
 
 
 def _spy_on_greedy(monkeypatch):
-    """Record, for each greedy matching built, the free slots left in its
-    span [earliest release, latest deadline) at every membership test of
-    ``_full``, and for every ``_walk`` call a tuple: the free slots left
-    in the span, whether the window had a free slot, the window, and the
-    hull of the slots a failed walk reached (None for a walk that found a
-    slot). Returns the records: one dict per matching."""
+    """Record, for each greedy run that walks, the free slots left in its
+    span [earliest release, latest deadline) at every ``_next_open`` call
+    (a start proven full), and for every ``_walk`` call a tuple: the free
+    slots left in the span, whether the window had a free slot, the
+    window, and the hull of the slots a failed walk reached (None for a
+    walk that found a slot); and in ``skips``, for every walk, how many
+    slots proven full before it it reached and how many ``_next_open``
+    calls it made. Returns the records: one dict per run, told apart by
+    the run's ``owner`` list."""
     records = []
+    original_walk, original_next_open = offline._walk, offline._next_open
 
-    def free_in_span(matching):
-        return matching.owner[min(matching.release):].count(None)
+    def free_in_span(record):
+        return record["owner"][min(record["release"]):].count(None)
 
-    class FullSpy(dict):
-        def __init__(self, matching, record):
-            super().__init__()
-            self.matching, self.record = matching, record
-
-        def __contains__(self, slot):
-            self.record["checks"].append(free_in_span(self.matching))
-            return super().__contains__(slot)
-
-    original_init, original_walk = _SlotMatching.__init__, _SlotMatching._walk
-
-    def init(self, instance):
-        original_init(self, instance)
-        records.append({"checks": [], "walks": [], "matching": self})
-        self._full = FullSpy(self, records[-1])
-
-    def walk(self, rank):
-        r, d = self.release[rank], self.deadline[rank]
-        span_free, window_free = free_in_span(self), None in self.owner[r:d]
-        free, reached = original_walk(self, rank)
+    def walk(owner, release, deadline, full, rank):
+        if not records or records[-1]["owner"] is not owner:
+            records.append(
+                {"checks": [], "walks": [], "skips": [], "owner": owner, "release": release}
+            )
+        r, d = release[rank], deadline[rank]
+        span_free, window_free = free_in_span(records[-1]), None in owner[r:d]
+        proven, checks = set(full), len(records[-1]["checks"])
+        free, reached = original_walk(owner, release, deadline, full, rank)
         hull = None if free is not None else (min(reached), max(reached) + 1)
         records[-1]["walks"].append((span_free, window_free, (r, d), hull))
+        # Slots proven full before the walk that it reached, and its skips.
+        records[-1]["skips"].append(
+            (len(proven.intersection(reached)), len(records[-1]["checks"]) - checks)
+        )
         return free, reached
 
-    monkeypatch.setattr(_SlotMatching, "__init__", init)
-    monkeypatch.setattr(_SlotMatching, "_walk", walk)
+    def next_open(full, s):
+        # full is empty until the run's first failed walk made its record.
+        records[-1]["checks"].append(free_in_span(records[-1]))
+        return original_next_open(full, s)
+
+    # The greedy and the walk look both helpers up in offline at each call.
+    monkeypatch.setattr(offline, "_walk", walk)
+    monkeypatch.setattr(offline, "_next_open", next_open)
     return records
 
 
@@ -493,12 +503,12 @@ def test_greedy_stops_once_its_span_is_full(monkeypatch):
     inst = generate(
         GeneratorSpec("powerlaw", horizon=40, a=30, m=500, max_slack=25, seed=2)
     )
-    last_taken = max(walking_greedy_ranks(inst))
+    last_taken = max(greedy_ranks_by_edf(inst))
     assert len(inst.ids) - last_taken > 200
     records = _spy_on_greedy(monkeypatch)
     ranks = _optimal_ranks(inst)
     (record,) = records
-    assert record["matching"].owner[min(record["matching"].release):].count(None) == 0
+    assert record["owner"][min(record["release"]):].count(None) == 0
     assert max(ranks) == last_taken
     # No rank after the one that took the last free slot reaches a search
     # or the proven-full check.
@@ -544,3 +554,20 @@ def test_greedy_walks_no_window_that_a_failed_walk_proved_full(monkeypatch):
                 proven.append(hull)
         failed += len(proven)
     assert failed > 30
+
+
+def test_greedy_walks_skip_the_slots_proven_full(monkeypatch):
+    # A walk that meets a slot a failed walk proved full jumps past the
+    # proven run with _next_open and reaches none of its slots.
+    rng = random.Random(181)
+    records = _spy_on_greedy(monkeypatch)
+    instances = [
+        generate(GeneratorSpec("powerlaw", horizon=40, a=30, m=500, max_slack=25, seed=seed))
+        for seed in range(3)
+    ]
+    instances += [_non_agreeable(rng, TIED_WEIGHTS) for _ in range(10)]
+    for inst in instances:
+        _optimal_ranks(inst)
+    skips = [skip for record in records for skip in record["skips"]]
+    assert all(reached == 0 for reached, _ in skips)
+    assert sum(jumps for _, jumps in skips) > 30

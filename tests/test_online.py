@@ -486,6 +486,11 @@ def test_policy_parse_and_validation():
         OnlineStepPolicy.parse("greedy:0.5")
     with pytest.raises(ValueError):
         OnlineStepPolicy.parse("edf-alpha:1.5")
+    # A bool is an int but no threshold: True would otherwise pass as 1.
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=rf"^edf-alpha requires alpha in \(0, 1\], got {flag}$"):
+            OnlineStepPolicy("edf-alpha", flag)
+    assert OnlineStepPolicy("edf-alpha", 1).alpha == 1
 
 
 def test_policy_step_looks_up_rule_at_call_time(monkeypatch):
